@@ -19,10 +19,8 @@ from .cheb import (
     NodeKind,
     NodeSet,
     UnresolvedFunctionError,
-    cheb_extrema_nodes,
     cheb_points_first_kind,
     cheb_points_second_kind,
-    cheb_root_nodes,
     derivative,
     eval_cheb_poly,
     evaluate,

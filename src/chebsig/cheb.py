@@ -29,8 +29,6 @@ __all__ = [
     "UnresolvedFunctionError",
     "cheb_points_second_kind",
     "cheb_points_first_kind",
-    "cheb_extrema_nodes",
-    "cheb_root_nodes",
     "eval_cheb_poly",
     "interpolant_from_values",
     "interpolant_from_function",
@@ -229,24 +227,6 @@ def _map_unit_points(unit: np.ndarray, domain: Domain) -> np.ndarray:
     if domain.a == -1.0 and domain.b == 1.0:
         return unit  # keep the signed zeros / exact symmetry untouched
     return np.asarray(domain.from_unit(unit))
-
-
-def cheb_extrema_nodes(n: int) -> np.ndarray:
-    """Extrema of T_n on [-1, 1]: the n+1 values cos(k*pi/n), descending."""
-    if n < 1:
-        raise ValueError("cheb_extrema_nodes requires n >= 1")
-    return np.cos(np.arange(n + 1) * (np.pi / n))
-
-
-def cheb_root_nodes(n: int) -> np.ndarray:
-    """Roots of T_n on [-1, 1], ascending.
-
-    Identical to ``cheb_points_first_kind(n).points``: the angles
-    (2k+1) pi / (2n) fed through the cosine.
-    """
-    if n < 1:
-        raise ValueError("cheb_root_nodes requires n >= 1")
-    return cheb_points_first_kind(n).points
 
 
 def eval_cheb_poly(k: int, x):
@@ -515,13 +495,18 @@ def derivative(p: ChebInterpolant) -> ChebInterpolant:
 def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
     """Global minimum and maximum of the interpolant over its domain.
 
-    Brackets sign changes of p' on a uniform grid of 8*degree + 16 points,
-    bisects each bracket to an abscissa tolerance of 1e-13, and compares
-    the candidate values together with the endpoints.
+    Brackets sign changes of p' on a Chebyshev-spaced grid of
+    8*degree + 16 points (endpoints pinned to a and b), bisects each
+    bracket to an abscissa tolerance of 1e-13, and compares the candidate
+    values together with the endpoints.  Near the ends the extrema of a
+    degree-n polynomial crowd to O(n^-2) spacing, which a uniform grid of
+    the same size cannot resolve.
     """
     dom = p.domain
     dp = derivative(p)
-    grid = np.linspace(dom.a, dom.b, 8 * p.degree + 16)
+    m = 8 * p.degree + 16
+    grid = dom.from_unit(-np.cos(np.arange(m) * (np.pi / (m - 1))))
+    grid[0], grid[-1] = dom.a, dom.b
     dv = evaluate(dp, grid)
 
     candidates = [np.array([dom.a, dom.b]), grid[dv == 0.0]]

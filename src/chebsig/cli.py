@@ -1,4 +1,4 @@
-"""Command-line harness: one subcommand per experiment.
+"""Command-line harness: one subcommand per entry of ``experiments.EXPERIMENTS``.
 
 Exit codes: 0 success, 1 failed --check assertion, 2 usage error,
 3 I/O error.
@@ -10,24 +10,21 @@ import argparse
 import sys
 
 from . import experiments as exp
-from .checks import CHECKS, run_checks
 
 USAGE_ERROR, CHECK_ERROR, IO_ERROR = 2, 1, 3
 
 
-def _common(parser, seed=True, n=None):
+def _common(parser, seed):
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="directory to write CSV/JSON reports into")
     parser.add_argument("--svg", action="store_true",
                         help="also write standalone SVG line plots")
     parser.add_argument("--check", action="store_true",
-                        help="run the golden assertions and exit nonzero on failure")
+                        help="run the golden assertions on the command's run-all "
+                             "deck and exit nonzero on failure")
     if seed:
         parser.add_argument("--seed", type=int, default=0,
                             help="PCG64 seed for anything random (default 0)")
-    if n is not None:
-        parser.add_argument("--n", type=int, default=n,
-                            help=f"point count (default {n})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,79 +33,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chebyshev/Fourier interpolation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _common(sub.add_parser("random", help="interpolate random data"), n=10)
-    _common(sub.add_parser("converge", help="error vs degree for e^x and Runge"),
-            seed=False)
-    _common(sub.add_parser("scale", help="degree-9 sin fits on [-6,6] and [0,6]"),
-            seed=False)
-    _common(sub.add_parser("wavelen", help="adaptive length vs wave number"),
-            seed=False)
-    p = sub.add_parser("coeffs", help="coefficient magnitude studies")
-    _common(p, seed=False)
-    p.add_argument("--function", choices=["atan", "tanh_sum", "stripe", "all"],
-                   default="all")
-    p = sub.add_parser("gamma", help="gamma-variate reconstruction")
-    _common(p)
-    p.add_argument("--spacing", choices=["even", "uneven"], default="even")
-    p.add_argument("--noise", choices=["on", "off"], default="off")
-    p.add_argument("--cheb-fit", choices=["node-values", "resample"],
-                   default="node-values")
-    p.add_argument("--uneven-mode", choices=["sorted", "modulated"],
-                   default="sorted")
-    _common(sub.add_parser("spectrum", help="amplitude spectrum of the gamma curve"),
-            seed=False)
-    _common(sub.add_parser("deviation", help="node deviations of the gamma fit"),
-            seed=False)
-    p = sub.add_parser("filter", help="moving-average smoothing")
-    _common(p)
-    p.add_argument("--window", type=int, default=5)
-    _common(sub.add_parser("nodes", help="node tables and comparisons"), n=100)
-    _common(sub.add_parser("condition", help="basis conditioning sweep"),
-            seed=False)
-    _common(sub.add_parser("run-all", help="run every experiment"))
+    for name, e in exp.EXPERIMENTS.items():
+        p = sub.add_parser(name, help=e.help)
+        _common(p, e.seed)
+        for flag, kwargs in e.options.items():
+            p.add_argument(flag, **kwargs)
+    _common(sub.add_parser("run-all", help="run every experiment"), seed=True)
     return parser
 
 
-def _dispatch(args) -> list:
-    cmd = args.command
-    out, svg = args.out, args.svg
-    seed = getattr(args, "seed", 0)
-    if cmd == "random":
-        return [exp.run_random(args.n, seed, out, svg=svg)]
-    if cmd == "converge":
-        return [exp.run_converge(out, svg=svg)]
-    if cmd == "scale":
-        return [exp.run_scale(out, svg=svg)]
-    if cmd == "wavelen":
-        return [exp.run_wavelen(out, svg=svg)]
-    if cmd == "coeffs":
-        ids = ["atan", "tanh_sum", "stripe"] if args.function == "all" else [args.function]
-        return [exp.run_coeffs(i, out, svg=svg) for i in ids]
-    if cmd == "gamma":
-        return [exp.run_gamma(args.spacing, args.noise == "on", seed, out,
-                              cheb_fit=args.cheb_fit,
-                              uneven_mode=args.uneven_mode, svg=svg)]
-    if cmd == "spectrum":
-        return [exp.run_spectrum(out, svg=svg)]
-    if cmd == "deviation":
-        return [exp.run_deviation(out, svg=svg)]
-    if cmd == "filter":
-        return [exp.run_filter(seed, args.window, out, svg=svg)]
-    if cmd == "nodes":
-        return [exp.run_nodes(args.n, out, svg=svg)]
-    if cmd == "condition":
-        return [exp.run_condition(out, svg=svg)]
-    if cmd == "run-all":
-        return exp.run_all(seed, out, svg=svg)
-    raise AssertionError(f"unhandled command {cmd}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    seed = getattr(args, "seed", 0)
+    run_all = args.command == "run-all"
     try:
-        reports = _dispatch(args)
+        reports = (exp.run_all(seed, args.out, svg=args.svg) if run_all
+                   else exp.EXPERIMENTS[args.command].run(args))
     except OSError as e:
         print(f"chebsig: I/O error: {e}", file=sys.stderr)
         return IO_ERROR
@@ -121,14 +61,14 @@ def main(argv=None) -> int:
         print(f"[{r.name}] {scalars}" if scalars else f"[{r.name}] done")
 
     if args.check:
-        names = list(CHECKS) if args.command == "run-all" else [args.command]
-        names = [n for n in names if n in CHECKS]
-        failed = 0
-        for label, ok, detail in run_checks(names, getattr(args, "seed", 0)):
-            status = "PASS" if ok else "FAIL"
-            suffix = f"  ({detail})" if detail else ""
-            print(f"{status}  {label}{suffix}")
-            failed += not ok
+        # run-all has just produced every deck; a single command runs its own.
+        names = list(exp.EXPERIMENTS) if run_all else [args.command]
+        deck = reports if run_all else exp.EXPERIMENTS[args.command].run_deck(seed)
+        by_name = {r.name: r for r in deck}
+        results = [c.evaluate(by_name, seed) for n in names for c in exp.EXPERIMENTS[n].checks]
+        for label, ok, detail in results:
+            print(f"{'PASS' if ok else 'FAIL'}  {label}" + (f"  ({detail})" if detail else ""))
+        failed = sum(not ok for _, ok, _ in results)
         if failed:
             print(f"chebsig: {failed} check(s) failed", file=sys.stderr)
             return CHECK_ERROR

@@ -4,13 +4,18 @@ Each ``run_*`` function assembles an :class:`~chebsig.report.ExperimentReport`
 and optionally writes it (CSV series + report.json, plus SVG line plots on
 request).  Everything is deterministic given its arguments; wall-clock
 timings are reported as scalars in the JSON only, so CSV output is
-byte-identical across reruns.
+byte-identical across reruns.  ``EXPERIMENTS`` declares each subcommand
+once: its options, its run-all deck and its golden checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
+from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -77,6 +82,9 @@ __all__ = [
     "run_nodes",
     "run_condition",
     "run_all",
+    "Check",
+    "Experiment",
+    "EXPERIMENTS",
 ]
 
 UNIT = Domain(-1.0, 1.0)
@@ -300,9 +308,8 @@ def run_coeffs(function_id="atan", out_dir=None, svg=False):
         )
         report.add_series("coefficients", _coeff_series(p))
         c = np.abs(p.coeffs[:51])
-        cutoff = PARITY_TOL
-        report.add_scalar("even_significant", float(np.sum(c[0::2] > cutoff)))
-        report.add_scalar("odd_significant", float(np.sum(c[1::2] > cutoff)))
+        report.add_scalar("even_significant", float(np.sum(c[0::2] > PARITY_TOL)))
+        report.add_scalar("odd_significant", float(np.sum(c[1::2] > PARITY_TOL)))
         report.add_scalar("length", float(len(p)))
     else:
         raise ValueError(f"unknown coeffs function id {function_id!r}")
@@ -383,8 +390,8 @@ def run_gamma(
 
     try:
         fourier_at_nodes = trig_interpolate(t, observed.y, t)
-        step = (t[-1] - t[0]) / (len(t) - 1)
-        dense = resample_spectral(UniformSignal(t[0], step, observed.y), FOURIER_DENSE)
+        dense = resample_spectral(UniformSignal(t[0], observed.step, observed.y),
+                                  FOURIER_DENSE)
         dense_t = dense.times()
         keep = dense_t <= GAMMA_SPAN * (1 + 1e-12)
         report.add_series("fourier_dense", {"t": dense_t[keep], "p": dense.values[keep]})
@@ -404,8 +411,7 @@ def run_gamma(
 def run_spectrum(out_dir=None, svg=False):
     """Amplitude spectrum of the clean, evenly sampled gamma curve."""
     clean, _ = _gamma_samples("even", False, 0, "sorted")
-    step = (clean.t[-1] - clean.t[0]) / (len(clean) - 1)
-    spec = amplitude_spectrum(UniformSignal(clean.t[0], step, clean.y))
+    spec = amplitude_spectrum(UniformSignal(clean.t[0], clean.step, clean.y))
     report = ExperimentReport("spectrum")
     report.add_series(
         "spectrum",
@@ -523,24 +529,228 @@ def run_condition(out_dir=None, svg=False):
     return _emit(report, out_dir, svg)
 
 
+def _scalar(quantity, reports):
+    name, key = quantity.split(".")
+    return reports[name].scalars[key]
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq,
+        "in": lambda v, b: np.all((b[0] <= v) & (v <= b[1]))}
+
+
+@dataclass(frozen=True)
+class Check:
+    """Golden assertion ``quantity <op> bound`` (``quantity`` true if ``op`` is
+    None); ``quantity`` is ``"report.scalar"`` or a function of the run-all
+    deck's reports, by name, and the seed."""
+
+    label: str
+    quantity: str | Callable[[dict, int], object]
+    op: str | None = None
+    bound: object = None
+
+    def evaluate(self, reports, seed) -> tuple[str, bool, str]:
+        value = (_scalar(self.quantity, reports) if isinstance(self.quantity, str)
+                 else self.quantity(reports, seed))
+        if self.op is None:
+            return self.label, bool(value), ""
+        return (self.label, bool(_OPS[self.op](value, self.bound)),
+                f"{value} {self.op} {self.bound}")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand.  ``run`` maps parsed options (``out``, ``svg``, ``seed``
+    and one per ``options`` flag) to reports, looking its ``run_*`` function up
+    at call time; each ``deck`` entry holds one run-all call's overrides."""
+
+    help: str
+    run: Callable[[SimpleNamespace], list]
+    options: dict = field(default_factory=dict)
+    seed: bool = False
+    deck: tuple = ({},)
+    checks: tuple = ()
+
+    def run_deck(self, seed=0, out_dir=None, svg=False) -> list:
+        defaults = {flag.lstrip("-").replace("-", "_"): kw.get("default")
+                    for flag, kw in self.options.items()}
+        return [r for over in self.deck for r in self.run(SimpleNamespace(
+            **{**defaults, **over}, seed=seed, out=out_dir, svg=svg))]
+
+
+def _gap(quantity, ref):
+    return lambda reports, seed: abs(_scalar(quantity, reports) - ref)
+
+
+def _dense_scan_gap(reports, seed):
+    s = reports["random_10"].scalars
+    p = interpolant_from_values(np.random.default_rng(seed).uniform(-1.0, 1.0, 10))
+    dense = evaluate(p, np.linspace(-1.0, 1.0, 10 ** 6 + 1))
+    return max(abs(s["min"] - dense.min()), abs(s["max"] - dense.max()))
+
+
+def _zero_data_extrema(reports, seed):
+    s = run_random(2, seed, values=[0.0, 0.0]).scalars
+    return s["min"] == 0.0 and s["max"] == 0.0
+
+
+def _runge_ratio_spread(reports, seed):
+    e = reports["converge"].get_series("errors").columns["err_l2_runge"]
+    return np.max(np.abs(e[59:120] / e[57:118] - RHO_INV_SQ))  # e(n)/e(n-2), n = 60..120
+
+
+def _sin_lengths(reports):
+    return np.asarray(reports["wavelen"].get_series("lengths").columns["length_sin"])
+
+
+def _dc_error(reports, seed):
+    t = np.linspace(0.0, GAMMA_SPAN, GAMMA_SAMPLES)
+    expected = abs(np.sum(t * np.exp(-t)))
+    return abs(reports["spectrum"].scalars["dc_amplitude"] - expected) / expected
+
+
+def _window_one_is_identity(reports, seed):
+    s = run_filter(seed, 1).scalars
+    return s["rms_filtered"] == s["rms_raw"]
+
+
+def _window_one_recorded(reports, seed):
+    m = run_filter(seed, 1).metadata
+    return m.get("window") == "1" and "seed" in m
+
+
+RHO_INV_SQ = ((1.0 + np.sqrt(26.0)) / 5.0) ** -2
+ARCTAN_COEFFS = {"a1": 0.828427124746190, "a3": -0.047378541243650, "a5": 0.004877323527903}
+
+EXPERIMENTS = {
+    "random": Experiment(
+        "interpolate random data", lambda o: [run_random(o.n, o.seed, o.out, svg=o.svg)],
+        {"--n": dict(type=int, default=10, help="point count (default 10)")},
+        seed=True, deck=({"n": 10}, {"n": 1000}), checks=(
+            Check("random: report schema", lambda r, seed: (
+                {"min", "max", "elapsed_seconds"} <= set(r["random_10"].scalars)
+                and len(r["random_10"].series) == 2)),
+            Check("random: min/max vs dense-grid scan", _dense_scan_gap, "<", 1e-8),
+            Check("random: zero data gives zero extrema", _zero_data_extrema))),
+    "converge": Experiment(
+        "error vs degree for e^x and Runge", lambda o: [run_converge(o.out, svg=o.svg)],
+        checks=(
+            Check("converge: machine-precision degree in [180, 260]",
+                  lambda r, seed: r["converge"].scalars.get("threshold_l2", -1),
+                  "in", (180, 260)),
+            Check("converge: exp error at degree 20 below 1e-14",
+                  "converge.exp_err_l2_at_20", "<", 1e-14),
+            Check("converge: Runge decay ratio within 5% of rho^-2",
+                  _runge_ratio_spread, "<", 0.05 * RHO_INV_SQ))),
+    "scale": Experiment(
+        "degree-9 sin fits on [-6,6] and [0,6]", lambda o: [run_scale(o.out, svg=o.svg)],
+        checks=(
+            Check("scale: interpolant exact at its nodes",
+                  "scale.max_node_err_full", "<", 1e-13),
+            Check("scale: degree 9 on [-6,6] visibly imperfect",
+                  "scale.max_err_full", ">", 1e-3),
+            Check("scale: [0,6] fit blows up extrapolated to -6",
+                  "scale.err_scaled_at_minus6", ">", 1.0))),
+    "wavelen": Experiment(
+        "adaptive length vs wave number", lambda o: [run_wavelen(o.out, svg=o.svg)],
+        checks=(
+            Check("wavelen: sin lengths nondecreasing",
+                  lambda r, seed: bool(np.all(np.diff(_sin_lengths(r)) >= 0))),
+            Check("wavelen: sin(x) length at most 20",
+                  lambda r, seed: _sin_lengths(r)[0], "<=", 20),
+            # The affine offset in L(k) keeps early ratios below 2; the doubling
+            # band is only meaningful once the linear term dominates (k >= 64).
+            Check("wavelen: sin length doubles with k (k >= 64)",  # L(2k)/L(k), k = 64..512
+                  lambda r, seed: _sin_lengths(r)[7:] / _sin_lengths(r)[6:-1],
+                  "in", (1.6, 2.4)))),
+    "coeffs": Experiment(
+        "coefficient magnitude studies",
+        lambda o: [run_coeffs(i, o.out, svg=o.svg) for i in (
+            ("atan", "tanh_sum", "stripe") if o.function == "all" else (o.function,))],
+        {"--function": dict(choices=["atan", "tanh_sum", "stripe", "all"], default="all")},
+        checks=(
+            *(Check(f"coeffs: arctan {k} matches to 1e-12", _gap(f"coeffs_atan.{k}", v),
+                    "<", 1e-12) for k, v in ARCTAN_COEFFS.items()),
+            Check("coeffs: simplification shortens the tanh sum",
+                  lambda r, seed: (r["coeffs_tanh_sum"].scalars["length_sum"]
+                                   - r["coeffs_tanh_sum"].scalars["length_sum_truncated"]),
+                  ">", 0),
+            Check("coeffs: stripe function is neither even nor odd",
+                  lambda r, seed: min(r["coeffs_stripe"].scalars["even_significant"],
+                                      r["coeffs_stripe"].scalars["odd_significant"]),
+                  ">", 0))),
+    "gamma": Experiment(
+        "gamma-variate reconstruction",
+        lambda o: [run_gamma(o.spacing, o.noise == "on", o.seed, o.out,
+                             cheb_fit=o.cheb_fit, uneven_mode=o.uneven_mode, svg=o.svg)],
+        {"--spacing": dict(choices=["even", "uneven"], default="even"),
+         "--noise": dict(choices=["on", "off"], default="off"),
+         "--cheb-fit": dict(choices=["node-values", "resample"], default="node-values"),
+         "--uneven-mode": dict(choices=["sorted", "modulated"], default="sorted")},
+        seed=True, deck=({}, {"noise": "on"}, {"spacing": "uneven", "noise": "on"}), checks=(
+            Check("gamma even/clean: Chebyshev reproduces samples to 1e-10",
+                  "gamma_even_clean.cheb_max_node_error", "<", 1e-10),
+            Check("gamma even/clean: Chebyshev peak gap is zero",
+                  "gamma_even_clean.cheb_peak_gap", "==", 0.0),
+            Check("gamma even/clean: Fourier reproduces samples to 1e-10",
+                  "gamma_even_clean.fourier_max_node_error", "<", 1e-10),
+            Check("gamma even/noise: Chebyshev peak gap zero, Fourier gap positive",
+                  lambda r, seed: (r["gamma_even_noise"].scalars["cheb_peak_gap"] == 0.0
+                                   and r["gamma_even_noise"].scalars["fourier_peak_gap"]
+                                   > 0.0)),
+            Check("gamma uneven: Fourier recorded as unsupported", lambda r, seed: (
+                r["gamma_uneven_noise"].metadata["fourier"].startswith("unsupported"))),
+            Check("gamma uneven: Chebyshev still passes through samples", lambda r, seed: (
+                r["gamma_uneven_noise"].scalars["cheb_peak_gap"] == 0.0
+                and r["gamma_uneven_noise"].scalars["cheb_max_node_error"] < 1e-10)))),
+    "spectrum": Experiment(
+        "amplitude spectrum of the gamma curve", lambda o: [run_spectrum(o.out, svg=o.svg)],
+        checks=(
+            Check("spectrum: DC bin equals |sum of samples|", _dc_error, "<", 1e-12),
+            Check("spectrum: Parseval identity to 1e-9 relative", lambda r, seed: abs(
+                r["spectrum"].scalars["sum_sq_values"]
+                - r["spectrum"].scalars["sum_sq_spectrum_over_n"])
+                / r["spectrum"].scalars["sum_sq_values"], "<", 1e-9),
+            Check("spectrum: 31 bins", "spectrum.length", "==", 31.0))),
+    "deviation": Experiment(
+        "node deviations of the gamma fit", lambda o: [run_deviation(o.out, svg=o.svg)],
+        checks=(
+            Check("deviation: mean absolute deviation below 1e-10",
+                  "deviation.mean_abs_deviation", "<", 1e-10),
+            Check("deviation: max deviation below 1e-9", "deviation.max_deviation", "<", 1e-9),
+            Check("deviation: one row per sample",
+                  lambda r, seed: len(r["deviation"].get_series("deviation")), "==", 31))),
+    "filter": Experiment(
+        "moving-average smoothing", lambda o: [run_filter(o.seed, o.window, o.out, svg=o.svg)],
+        {"--window": dict(type=int, default=5)}, seed=True, checks=(
+            Check("filter: smoothing reduces RMS error", lambda r, seed: (
+                r["filter"].scalars["rms_raw"] - r["filter"].scalars["rms_filtered"]),
+                ">", 0.0),
+            Check("filter: window 1 is the identity", _window_one_is_identity),
+            Check("filter: window and seed recorded", _window_one_recorded))),
+    "nodes": Experiment(
+        "node tables and comparisons", lambda o: [run_nodes(o.n, o.out, svg=o.svg)],
+        {"--n": dict(type=int, default=100, help="point count (default 100)")},
+        seed=True, checks=(
+            Check("nodes: 100-node comparison value 0.0084 +- 0.0005",
+                  _gap("nodes.compare_max_diff", 0.0084), "<=", 0.0005),
+            Check("nodes: tables sorted ascending", lambda r, seed: all(
+                np.all(np.diff(r["nodes"].get_series("node_tables").columns[c]) > 0)
+                for c in ("first_kind", "second_kind", "legendre", "uniform"))),
+            Check("nodes: midpoint probe matches library", lambda r, seed: (
+                r["nodes"].scalars["smallest_nonzero_midpoint"]
+                == float(smallest_nonzero_midpoint()))))),
+    "condition": Experiment(
+        "basis conditioning sweep", lambda o: [run_condition(o.out, svg=o.svg)], checks=(
+            Check("condition: Chebyshev basis 3.7126 within 1%",
+                  _gap("condition.cond_chebyshev_deg10", 3.7126), "<", 0.01 * 3.7126),
+            Check("condition: monomials on [-1,1] 3.073e3 within 2%",
+                  _gap("condition.cond_monomial_deg10", 3.073e3), "<", 0.02 * 3.073e3),
+            Check("condition: monomials on [0,1] 2.2871e7 within 5%",
+                  _gap("condition.cond_monomial_01_deg10", 2.2871e7), "<", 0.05 * 2.2871e7))),
+}
+
+
 def run_all(seed=0, out_dir=None, svg=False):
-    """Run every experiment with shared defaults; returns the reports."""
-    reports = [
-        run_random(10, seed, out_dir, svg=svg),
-        run_random(1000, seed, out_dir, svg=svg),
-        run_converge(out_dir, svg=svg),
-        run_scale(out_dir, svg=svg),
-        run_wavelen(out_dir, svg=svg),
-        run_coeffs("atan", out_dir, svg=svg),
-        run_coeffs("tanh_sum", out_dir, svg=svg),
-        run_coeffs("stripe", out_dir, svg=svg),
-        run_gamma("even", False, seed, out_dir, svg=svg),
-        run_gamma("even", True, seed, out_dir, svg=svg),
-        run_gamma("uneven", True, seed, out_dir, svg=svg),
-        run_spectrum(out_dir, svg=svg),
-        run_deviation(out_dir, svg=svg),
-        run_filter(seed, 5, out_dir, svg=svg),
-        run_nodes(100, out_dir, svg=svg),
-        run_condition(out_dir, svg=svg),
-    ]
-    return reports
+    """Run every experiment's run-all deck; returns the reports."""
+    return [r for e in EXPERIMENTS.values() for r in e.run_deck(seed, out_dir, svg)]

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import signal_from_samples
+
 __all__ = [
     "UniformSignal",
     "SpectrumReport",
@@ -24,11 +26,6 @@ __all__ = [
     "trig_interpolate",
     "amplitude_spectrum",
 ]
-
-#: Relative tolerance for deciding a grid is uniform.  Grids built by
-#: repeatedly adding a step accumulate O(N eps) wobble, far below this.
-UNIFORM_RTOL = 1e-9
-
 
 class UnevenSpacingError(ValueError):
     """Raised when trigonometric interpolation is asked for uneven nodes."""
@@ -170,15 +167,15 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     Raises
     ------
     UnevenSpacingError
-        If sample_x is not uniformly spaced to within ``UNIFORM_RTOL``.
+        If sample_x is not uniformly spaced to within ``signals.EVEN_RTOL``.
     """
     xs = np.asarray(sample_x, dtype=float)
     ys = np.asarray(sample_y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
         raise ValueError("sample_x and sample_y must be 1-D, equal length >= 2")
     n = xs.size
-    step = (xs[-1] - xs[0]) / (n - 1)
-    if step <= 0 or np.max(np.abs(np.diff(xs) - step)) > UNIFORM_RTOL * abs(step):
+    step = signal_from_samples(xs, ys).step
+    if step is None:
         raise UnevenSpacingError(
             "uneven nodes unsupported: trigonometric interpolation "
             "requires an equally spaced sample grid"

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 #: Relative wobble below which consecutive spacings count as one even step.
+#: Grids built by repeatedly adding a step accumulate O(N eps) wobble, far
+#: below this.
 EVEN_RTOL = 1e-9
 
 

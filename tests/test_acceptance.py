@@ -20,7 +20,6 @@ from chebsig.cheb import (
     interpolant_from_values,
     values_at_nodes,
 )
-from chebsig.cli import main as cli_main
 from chebsig.conditioning import (
     Basis,
     build_basis_matrix,
@@ -208,11 +207,10 @@ def test_c8_property_suites():
     report(8, f"all property suites hold (filter wins {wins}/20)", w)
 
 
-def test_c9_run_all_determinism(tmp_path):
+def test_c9_run_all_determinism(run_all_twice):
     with Stopwatch(120.0) as w:
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert cli_main(["run-all", "--seed", "42", "--out", str(out1)]) == 0
-        assert cli_main(["run-all", "--seed", "42", "--out", str(out2)]) == 0
+        out1, out2, codes, _ = run_all_twice
+        assert codes == [0, 0]
         files1 = sorted(p.relative_to(out1) for p in out1.rglob("*.csv"))
         files2 = sorted(p.relative_to(out2) for p in out2.rglob("*.csv"))
         assert files1 == files2 and files1

@@ -8,10 +8,8 @@ from chebsig.cheb import (
     Domain,
     NodeKind,
     UnresolvedFunctionError,
-    cheb_extrema_nodes,
     cheb_points_first_kind,
     cheb_points_second_kind,
-    cheb_root_nodes,
     derivative,
     eval_cheb_poly,
     evaluate,
@@ -99,32 +97,30 @@ class TestNodeGeneration:
 
 
 class TestExtremaAndRoots:
+    """Second-kind points are the extrema of T_n, first-kind points its roots."""
+
     def test_extrema_small(self):
-        assert np.allclose(cheb_extrema_nodes(1), [1.0, -1.0])
-        assert np.allclose(cheb_extrema_nodes(2), [1.0, 0.0, -1.0], atol=1e-16)
+        assert np.array_equal(cheb_points_second_kind(2).points, [-1.0, 0.0, 1.0])
 
     def test_extrema_have_unit_magnitude(self):
-        for x in cheb_extrema_nodes(4):
+        pts = cheb_points_second_kind(4).points
+        for x in pts:
             assert abs(abs(eval_cheb_poly(4, x)) - 1.0) < 1e-14
         assert np.allclose(
-            np.sort(cheb_extrema_nodes(4)),
+            pts,
             [-1.0, -math.sqrt(2) / 2, 0.0, math.sqrt(2) / 2, 1.0],
             atol=1e-16,
         )
 
-    def test_roots_small(self):
-        assert cheb_root_nodes(1)[0] == 0.0
-        assert np.allclose(np.abs(cheb_root_nodes(2)), math.sqrt(2) / 2, rtol=1e-15)
-
     def test_polynomial_vanishes_at_roots(self):
-        for x in cheb_root_nodes(5):
+        for x in cheb_points_first_kind(5).points:
             assert abs(eval_cheb_poly(5, x)) < 1e-14
 
     def test_roots_equal_first_kind_points(self):
+        # The textbook roots cos((2k+1) pi / (2n)) of T_n.
         for n in (1, 2, 7, 64, 501):
-            assert np.array_equal(
-                cheb_root_nodes(n), cheb_points_first_kind(n).points
-            )
+            roots = np.sort(np.cos((2 * np.arange(n) + 1) * (np.pi / (2 * n))))
+            assert np.allclose(cheb_points_first_kind(n).points, roots, rtol=0, atol=1e-15)
 
 
 class TestEvalChebPoly:

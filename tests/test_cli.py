@@ -59,12 +59,18 @@ def test_coeffs_all_runs_three(tmp_path):
         assert (tmp_path / name / "report.json").exists()
 
 
-def test_run_all_deterministic_csv_bytes(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run-all", "--seed", "42", "--out", str(out1)]) == 0
-    assert main(["run-all", "--seed", "42", "--out", str(out2)]) == 0
+def test_run_all_deterministic_csv_bytes(run_all_twice):
+    out1, out2, codes, _ = run_all_twice
+    assert codes == [0, 0]
     csv1 = sorted(p.relative_to(out1) for p in out1.rglob("*.csv"))
     csv2 = sorted(p.relative_to(out2) for p in out2.rglob("*.csv"))
     assert csv1 == csv2 and len(csv1) > 25
     for rel in csv1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+def test_run_all_check_passes_every_check(run_all_twice):
+    _, _, codes, stdout = run_all_twice
+    assert codes[1] == 0
+    assert sum(line.startswith("PASS") for line in stdout.splitlines()) == 38
+    assert "FAIL" not in stdout

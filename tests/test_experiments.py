@@ -27,9 +27,15 @@ class TestRandom:
         assert abs(r.scalars["min"] - dense.min()) < 1e-8
         assert abs(r.scalars["max"] - dense.max()) < 1e-8
 
-    def test_large_point_count_runs(self):
-        r = exp.run_random(1000, seed=1)
+    @pytest.mark.parametrize("seed", [1, 24, 39, 290])
+    def test_large_point_count_runs(self, seed):
+        # Seeds 24, 39 and 290 put an extremum within ~1e-4 of an end,
+        # where a uniform bracketing grid misses it.
+        r = exp.run_random(1000, seed=seed)
+        p = interpolant_from_values(np.random.default_rng(seed).uniform(-1, 1, 1000))
+        scan = evaluate(p, np.cos(np.pi * np.arange(20001) / 20000))
         assert r.scalars["min"] < r.scalars["max"]
+        assert r.scalars["min"] <= scan.min() and r.scalars["max"] >= scan.max()
 
 
 @pytest.fixture(scope="module")
