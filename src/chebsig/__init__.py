@@ -3,7 +3,7 @@
 Library layers:
 
 - :mod:`chebsig.cheb` — Chebyshev nodes, series, evaluation, calculus.
-- :mod:`chebsig.fourier` — DFT, spectral resampling, cardinal interpolation.
+- :mod:`chebsig.fourier` — spectral resampling, cardinal interpolation, spectra.
 - :mod:`chebsig.nodes` — Legendre points, node comparisons, probes.
 - :mod:`chebsig.conditioning` — basis quasimatrix singular values.
 - :mod:`chebsig.signals` — gamma-variate signals, noise, filtering.
@@ -44,10 +44,7 @@ from .conditioning import (
 from .fourier import (
     SpectrumReport,
     UnevenSpacingError,
-    UniformSignal,
     amplitude_spectrum,
-    dft_forward,
-    dft_inverse,
     resample_spectral,
     trig_cardinal,
     trig_interpolate,
@@ -71,7 +68,6 @@ from .signals import (
     moving_average,
     peak_metrics,
     read_signal_csv,
-    signal_from_samples,
     uneven_grid,
     write_signal_csv,
 )

@@ -69,6 +69,9 @@ class Domain:
             raise ValueError("domain endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"domain requires a < b, got [{self.a}, {self.b}]")
+        a, b = float(self.a), float(self.b)
+        if not (math.isfinite(b - a) and math.isfinite(a + b)):
+            raise ValueError(f"domain [{a}, {b}] overflows: b - a or a + b is not finite")
 
     @property
     def width(self) -> float:

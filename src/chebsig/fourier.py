@@ -1,10 +1,11 @@
-"""Trigonometric interpolation on uniform grids.
+"""Trigonometric interpolation of evenly sampled signals.
 
-Covers the discrete Fourier transform, zero-padded spectral resampling
-(upsampling a uniformly sampled signal through its spectrum), the explicit
-periodic cardinal function, and amplitude spectra.  Everything here assumes
-evenly spaced samples; the cardinal-function interpolator rejects uneven
-grids outright, since the construction is meaningless for them.
+Covers zero-padded spectral resampling (upsampling a signal through its
+spectrum), the explicit periodic cardinal function, and amplitude spectra.
+Samples come as a :class:`~chebsig.signals.Signal`, whose derived ``step``
+says whether its grid is even; every function here raises
+:class:`UnevenSpacingError` on an uneven grid, since the constructions are
+meaningless for one.
 """
 
 from __future__ import annotations
@@ -13,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import signal_from_samples
+from .signals import Signal
 
 __all__ = [
-    "UniformSignal",
     "SpectrumReport",
     "UnevenSpacingError",
-    "dft_forward",
-    "dft_inverse",
     "resample_spectral",
     "trig_cardinal",
     "trig_interpolate",
@@ -31,31 +29,13 @@ class UnevenSpacingError(ValueError):
     """Raised when trigonometric interpolation is asked for uneven nodes."""
 
 
-@dataclass(frozen=True)
-class UniformSignal:
-    """Evenly sampled real signal: value k lives at ``start + k*step``."""
-
-    start: float
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("values must be a 1-D vector of length >= 2")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be positive")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def times(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.values.size)
-
-    def __len__(self) -> int:
-        return self.values.size
+def _even_step(signal: Signal) -> float:
+    if signal.step is None:
+        raise UnevenSpacingError(
+            "uneven nodes unsupported: trigonometric interpolation "
+            "requires an equally spaced sample grid"
+        )
+    return signal.step
 
 
 @dataclass(frozen=True)
@@ -83,23 +63,7 @@ class SpectrumReport:
         return self.frequencies.size
 
 
-def dft_forward(values) -> np.ndarray:
-    """Unnormalized forward DFT, any length (numpy's pocketfft underneath)."""
-    v = np.asarray(values)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("need a 1-D vector of length >= 1")
-    return np.fft.fft(v)
-
-
-def dft_inverse(values) -> np.ndarray:
-    """Inverse DFT with the 1/N normalization; round-trips dft_forward."""
-    v = np.asarray(values)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("need a 1-D vector of length >= 1")
-    return np.fft.ifft(v)
-
-
-def resample_spectral(signal: UniformSignal, new_count: int) -> UniformSignal:
+def resample_spectral(signal: Signal, new_count: int) -> Signal:
     """Upsample onto new_count points by zero-padding the spectrum.
 
     The spectrum of the N input samples is embedded symmetrically into a
@@ -111,13 +75,16 @@ def resample_spectral(signal: UniformSignal, new_count: int) -> UniformSignal:
 
     Raises
     ------
+    UnevenSpacingError
+        If the signal's grid is not even.
     ValueError
         If new_count < len(signal).
     """
+    step = _even_step(signal)
     n = len(signal)
     if new_count < n:
         raise ValueError(f"new_count {new_count} < signal length {n}")
-    spec = np.fft.fft(signal.values)
+    spec = np.fft.fft(signal.y)
     padded = np.zeros(new_count, dtype=complex)
     if n % 2:
         h = (n + 1) // 2
@@ -135,7 +102,7 @@ def resample_spectral(signal: UniformSignal, new_count: int) -> UniformSignal:
     tol = 1e-10 * max(1.0, np.max(np.abs(out.real)))
     if residue >= tol:
         raise ValueError(f"imaginary residue {residue:.3e} after resampling")
-    return UniformSignal(signal.start, signal.step * n / new_count, out.real)
+    return Signal(signal.t[0] + (step * n / new_count) * np.arange(new_count), out.real)
 
 
 def trig_cardinal(x, n: int):
@@ -169,17 +136,9 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     UnevenSpacingError
         If sample_x is not uniformly spaced to within ``signals.EVEN_RTOL``.
     """
-    xs = np.asarray(sample_x, dtype=float)
-    ys = np.asarray(sample_y, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
-        raise ValueError("sample_x and sample_y must be 1-D, equal length >= 2")
-    n = xs.size
-    step = signal_from_samples(xs, ys).step
-    if step is None:
-        raise UnevenSpacingError(
-            "uneven nodes unsupported: trigonometric interpolation "
-            "requires an equally spaced sample grid"
-        )
+    samples = Signal(sample_x, sample_y)
+    step = _even_step(samples)
+    xs, ys, n = samples.t, samples.y, len(samples)
     xq = np.asarray(query_x, dtype=float)
     scale = step / (2.0 / n)
     xs_u = xs / scale
@@ -190,11 +149,12 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     return out if np.asarray(query_x).ndim else float(out[0])
 
 
-def amplitude_spectrum(signal: UniformSignal) -> SpectrumReport:
+def amplitude_spectrum(signal: Signal) -> SpectrumReport:
     """DFT magnitudes/phases with frequencies k/(N*step), k = 0..N-1."""
+    step = _even_step(signal)
     n = len(signal)
-    spec = np.fft.fft(signal.values)
-    freqs = np.arange(n) / (n * signal.step)
+    spec = np.fft.fft(signal.y)
+    freqs = np.arange(n) / (n * step)
     phases = np.angle(spec)
     phases[phases <= -np.pi] += 2 * np.pi  # keep within (-pi, pi]
     return SpectrumReport(freqs, np.abs(spec), phases)

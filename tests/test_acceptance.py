@@ -27,7 +27,7 @@ from chebsig.conditioning import (
     conditioning_sweep,
     singular_values,
 )
-from chebsig.fourier import dft_forward, dft_inverse, trig_cardinal
+from chebsig.fourier import amplitude_spectrum, resample_spectral, trig_cardinal
 from chebsig.nodes import legendre_points
 from chebsig.signals import GammaParams, Signal, add_noise, gamma_variate, moving_average
 
@@ -152,7 +152,8 @@ def test_c8_property_suites():
             assert np.max(np.abs(values_at_nodes(interpolant_from_values(v)) - v)) < 1e-12
         for n in (2, 3, 12, 31, 1024):
             z = rng.standard_normal(n)
-            assert np.max(np.abs(dft_inverse(dft_forward(z)) - z)) < 1e-12
+            back = resample_spectral(Signal(np.arange(n, dtype=float), z), n).y
+            assert np.max(np.abs(back - z)) < 1e-12
 
         # Cardinal Kronecker delta.
         for n in (5, 8, 31):
@@ -161,8 +162,8 @@ def test_c8_property_suites():
 
         # Parseval.
         z = rng.standard_normal(257)
-        assert abs(np.sum(z ** 2) - np.sum(np.abs(dft_forward(z)) ** 2) / 257) \
-            < 1e-9 * np.sum(z ** 2)
+        amplitudes = amplitude_spectrum(Signal(np.arange(257.0), z)).amplitudes
+        assert abs(np.sum(z ** 2) - np.sum(amplitudes ** 2) / 257) < 1e-9 * np.sum(z ** 2)
 
         # Derivative vs central finite differences.
         p = interpolant_from_function(np.exp)

@@ -47,6 +47,12 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(2.0, -2.0)
 
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (1e308, 1.7e308)])
+    def test_rejects_overflowing_arithmetic(self, a, b):
+        # b - a overflows in the first, a + b (used by from_unit) in the second.
+        with pytest.raises(ValueError, match="overflows"):
+            Domain(a, b)
+
     def test_maps_are_inverse(self):
         d = Domain(0.0, 6.0)
         x = np.linspace(0, 6, 13)

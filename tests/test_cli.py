@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,12 @@ def test_usage_error_exit_code():
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
+    assert info.value.code == 2
+
+
+def test_nodes_takes_no_seed():
+    with pytest.raises(SystemExit) as info:
+        main(["nodes", "--seed", "5"])
     assert info.value.code == 2
 
 
@@ -74,3 +82,13 @@ def test_run_all_check_passes_every_check(run_all_twice):
     assert codes[1] == 0
     assert sum(line.startswith("PASS") for line in stdout.splitlines()) == 38
     assert "FAIL" not in stdout
+
+
+def test_run_all_matches_golden_digests(run_all_twice):
+    out1, _, codes, _ = run_all_twice
+    assert codes[0] == 0
+    golden = Path(__file__).parents[1] / "perfbench" / "golden_csv_sha256.json"
+    expected = json.loads(golden.read_text(encoding="utf-8"))["42"]
+    digests = {p.relative_to(out1).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out1.rglob("*.csv")}
+    assert digests == expected

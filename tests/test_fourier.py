@@ -6,14 +6,12 @@ import pytest
 from chebsig.fourier import (
     SpectrumReport,
     UnevenSpacingError,
-    UniformSignal,
     amplitude_spectrum,
-    dft_forward,
-    dft_inverse,
     resample_spectral,
     trig_cardinal,
     trig_interpolate,
 )
+from chebsig.signals import Signal
 
 
 def direct_dft(values):
@@ -25,106 +23,101 @@ def direct_dft(values):
     return phase @ v
 
 
+def unit_grid(values):
+    """Samples at t = 0, 1, ..., N-1."""
+    return Signal(np.arange(len(values), dtype=float), values)
+
+
 def gamma_signal():
     t = np.linspace(0.0, 3 * np.pi, 31)
-    return UniformSignal(0.0, t[1] - t[0], t * np.exp(-t))
-
-
-class TestUniformSignal:
-    def test_times(self):
-        s = UniformSignal(1.0, 0.5, np.zeros(4))
-        assert np.allclose(s.times(), [1.0, 1.5, 2.0, 2.5])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UniformSignal(0.0, 0.0, np.zeros(4))
-        with pytest.raises(ValueError):
-            UniformSignal(0.0, 1.0, [1.0])
-        with pytest.raises(ValueError):
-            UniformSignal(0.0, 1.0, [1.0, np.inf])
+    return Signal(t, t * np.exp(-t))
 
 
 class TestDft:
     def test_constant_is_dc_only(self):
-        out = dft_forward([1.0, 1.0, 1.0, 1.0])
+        out = amplitude_spectrum(unit_grid([1.0, 1.0, 1.0, 1.0])).amplitudes
         assert np.allclose(out, [4, 0, 0, 0], atol=1e-14)
 
     def test_impulse_is_flat(self):
-        out = dft_forward([1.0, 0.0, 0.0, 0.0])
+        out = amplitude_spectrum(unit_grid([1.0, 0.0, 0.0, 0.0])).amplitudes
         assert np.allclose(out, [1, 1, 1, 1], atol=1e-14)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(2)
-        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        assert np.max(np.abs(dft_forward(v) - direct_dft(v))) < 1e-12
+        v = rng.standard_normal(12)
+        spec = amplitude_spectrum(unit_grid(v))
+        fast = spec.amplitudes * np.exp(1j * spec.phases)
+        assert np.max(np.abs(fast - direct_dft(v))) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 12, 31, 1000, 1024])
     def test_round_trip(self, n):
         rng = np.random.default_rng(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        back = dft_inverse(dft_forward(v))
+        v = rng.standard_normal(n)
+        back = resample_spectral(unit_grid(v), n).y
         assert np.max(np.abs(back - v)) < 1e-12 * np.max(np.abs(v))
 
     def test_large_round_trip(self):
         rng = np.random.default_rng(9)
         v = rng.standard_normal(2 ** 16)
-        back = dft_inverse(dft_forward(v))
+        back = resample_spectral(unit_grid(v), 2 ** 16).y
         assert np.max(np.abs(back - v)) < 1e-12
 
 
 class TestResampleSpectral:
     def test_constant_stays_constant(self):
-        s = UniformSignal(0.0, 1.0, np.full(7, 2.5))
-        out = resample_spectral(s, 50)
-        assert np.allclose(out.values, 2.5, atol=1e-12)
+        out = resample_spectral(unit_grid(np.full(7, 2.5)), 50)
+        assert np.allclose(out.y, 2.5, atol=1e-12)
         assert len(out) == 50
 
     def test_bandlimited_cosine_reconstruction(self):
         t8 = np.arange(8) / 8.0
-        s = UniformSignal(0.0, 1 / 8, np.cos(2 * np.pi * t8))
+        s = Signal(t8, np.cos(2 * np.pi * t8))
         out = resample_spectral(s, 32)
         t32 = np.arange(32) / 32.0
-        assert np.max(np.abs(out.values - np.cos(2 * np.pi * t32))) < 1e-10
+        assert np.max(np.abs(out.y - np.cos(2 * np.pi * t32))) < 1e-10
+        assert np.array_equal(out.t, t32)
         assert out.step == pytest.approx(1 / 32)
 
     def test_reproduces_samples_at_original_times(self):
         s = gamma_signal()
         out = resample_spectral(s, 31 * 8)  # original times land on the new grid
-        assert np.max(np.abs(out.values[::8] - s.values)) < 1e-10
+        assert np.max(np.abs(out.y[::8] - s.y)) < 1e-10
 
     def test_identity_when_count_unchanged(self):
         s = gamma_signal()
         out = resample_spectral(s, 31)
-        assert np.max(np.abs(out.values - s.values)) < 1e-12
+        assert np.max(np.abs(out.y - s.y)) < 1e-12
 
     def test_identity_even_length_with_nyquist_energy(self):
         # Alternating signal is pure Nyquist; the split halves must
         # recombine when the count does not change.
         v = np.array([1.0, -1.0] * 8)
-        s = UniformSignal(0.0, 1.0, v)
-        out = resample_spectral(s, 16)
-        assert np.max(np.abs(out.values - v)) < 1e-12
+        out = resample_spectral(unit_grid(v), 16)
+        assert np.max(np.abs(out.y - v)) < 1e-12
 
     def test_even_length_sample_reproduction(self):
         rng = np.random.default_rng(12)
         v = rng.standard_normal(30)
-        s = UniformSignal(0.0, 0.1, v)
-        out = resample_spectral(s, 30 * 4)
-        assert np.max(np.abs(out.values[::4] - v)) < 1e-10
+        out = resample_spectral(Signal(0.1 * np.arange(30), v), 30 * 4)
+        assert np.max(np.abs(out.y[::4] - v)) < 1e-10
 
     def test_agrees_with_cardinal_interpolation(self):
         # Same underlying interpolant, two very different algorithms.
         for count in (31, 30):  # odd and even N
             t = np.linspace(0.0, 3 * np.pi, count)
             y = t * np.exp(-t)
-            s = UniformSignal(0.0, t[1] - t[0], y)
-            dense = resample_spectral(s, 1000)
-            ref = trig_interpolate(t, y, dense.times())
-            assert np.max(np.abs(dense.values - ref)) < 1e-8
+            dense = resample_spectral(Signal(t, y), 1000)
+            ref = trig_interpolate(t, y, dense.t)
+            assert np.max(np.abs(dense.y - ref)) < 1e-8
 
     def test_rejects_downsampling(self):
         with pytest.raises(ValueError):
             resample_spectral(gamma_signal(), 30)
+
+    def test_rejects_uneven_signal(self):
+        t = np.array([0.0, 1.0, 2.5, 3.0])
+        with pytest.raises(UnevenSpacingError):
+            resample_spectral(Signal(t, np.zeros(4)), 8)
 
 
 class TestTrigCardinal:
@@ -191,38 +184,39 @@ class TestTrigInterpolate:
 
 class TestAmplitudeSpectrum:
     def test_constant_signal(self):
-        s = UniformSignal(0.0, 1.0, np.full(8, 3.0))
-        spec = amplitude_spectrum(s)
+        spec = amplitude_spectrum(unit_grid(np.full(8, 3.0)))
         assert spec.amplitudes[0] == pytest.approx(24.0, rel=1e-14)
         assert np.max(spec.amplitudes[1:]) < 1e-12
 
     def test_cosine_two_bins(self):
         t = np.arange(16) / 16.0
-        s = UniformSignal(0.0, 1 / 16, np.cos(2 * np.pi * t))
-        spec = amplitude_spectrum(s)
+        spec = amplitude_spectrum(Signal(t, np.cos(2 * np.pi * t)))
         assert spec.amplitudes[1] == pytest.approx(8.0, rel=1e-12)
         assert spec.amplitudes[15] == pytest.approx(8.0, rel=1e-12)
         others = np.delete(spec.amplitudes, [1, 15])
         assert np.max(others) < 1e-12
 
     def test_frequency_axis_convention(self):
-        s = UniformSignal(0.0, 0.25, np.zeros(10) + 1.0)
-        spec = amplitude_spectrum(s)
+        spec = amplitude_spectrum(Signal(0.25 * np.arange(10), np.ones(10)))
         assert np.allclose(spec.frequencies, np.arange(10) / (10 * 0.25))
 
     def test_parseval_gamma(self):
         s = gamma_signal()
         spec = amplitude_spectrum(s)
-        lhs = np.sum(s.values ** 2)
+        lhs = np.sum(s.y ** 2)
         rhs = np.sum(spec.amplitudes ** 2) / len(s)
         assert abs(lhs - rhs) < 1e-9 * lhs
 
     def test_phases_in_half_open_interval(self):
         rng = np.random.default_rng(4)
-        s = UniformSignal(0.0, 1.0, rng.standard_normal(64))
-        spec = amplitude_spectrum(s)
+        spec = amplitude_spectrum(unit_grid(rng.standard_normal(64)))
         assert np.all(spec.phases > -np.pi)
         assert np.all(spec.phases <= np.pi)
+
+    def test_rejects_uneven_signal(self):
+        t = np.array([0.0, 1.0, 2.5, 3.0])
+        with pytest.raises(UnevenSpacingError):
+            amplitude_spectrum(Signal(t, np.zeros(4)))
 
     def test_report_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,12 @@ from chebsig.cheb import (
     truncate,
     values_at_nodes,
 )
-from chebsig.fourier import dft_forward, dft_inverse, trig_cardinal, trig_interpolate
+from chebsig.fourier import (
+    amplitude_spectrum,
+    resample_spectral,
+    trig_cardinal,
+    trig_interpolate,
+)
 from chebsig.nodes import mean_distance
 from chebsig.signals import Signal, moving_average
 
@@ -69,23 +74,33 @@ def test_truncate_is_a_prefix_and_never_empty(values, tol):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=1, max_value=512))
+@given(st.integers(min_value=2, max_value=512))
 def test_dft_round_trip_any_length(n):
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
-    back = dft_inverse(dft_forward(v))
+    back = resample_spectral(Signal(np.arange(n, dtype=float), v), n).y
     assert np.max(np.abs(back - v)) < 1e-12 * max(1.0, np.max(np.abs(v)))
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=1, max_value=512))
+@given(st.integers(min_value=2, max_value=512))
 def test_parseval(n):
     rng = np.random.default_rng(n + 7)
     v = rng.standard_normal(n)
-    spec = dft_forward(v)
+    spec = amplitude_spectrum(Signal(np.arange(n, dtype=float), v))
     lhs = np.sum(v ** 2)
-    rhs = np.sum(np.abs(spec) ** 2) / n
+    rhs = np.sum(spec.amplitudes ** 2) / n
     assert abs(lhs - rhs) <= 1e-9 * max(lhs, 1.0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(min_value=1e-6, max_value=1e6),
+       st.floats(min_value=-10.0, max_value=10.0),
+       st.integers(min_value=2, max_value=5000))
+def test_linspace_step_is_derived(span, start_in_spans, n):
+    a = start_in_spans * span
+    t = np.linspace(a, a + span, n)
+    assert Signal(t, np.zeros(n)).step == (t[-1] - t[0]) / (n - 1)
 
 
 @settings(deadline=None, max_examples=40)

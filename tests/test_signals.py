@@ -11,23 +11,36 @@ from chebsig.signals import (
     gamma_variate,
     moving_average,
     peak_metrics,
-    signal_from_samples,
     uneven_grid,
 )
 
 
 class TestSignal:
     def test_even_detection(self):
-        s = signal_from_samples(np.linspace(0, 1, 11), np.zeros(11))
+        s = Signal(np.linspace(0, 1, 11), np.zeros(11))
         assert s.is_even
-        s = signal_from_samples([0.0, 0.1, 0.5], np.zeros(3))
+        s = Signal([0.0, 0.1, 0.5], np.zeros(3))
         assert not s.is_even
+
+    def test_derived_step(self):
+        s = Signal(1.0 + 0.5 * np.arange(4), np.zeros(4))
+        assert s.step == 0.5
+        assert np.array_equal(s.t, [1.0, 1.5, 2.0, 2.5])
+        assert Signal(np.arange(50.0), np.zeros(50)).step == 1.0
+
+    def test_step_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Signal([0.0, 0.5], [1.0, 2.0], 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Signal([0.0, 0.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             Signal([0.0, 1.0], [1.0, np.nan])
+        with pytest.raises(ValueError):
+            Signal([0.0], [1.0])
+        with pytest.raises(ValueError):
+            Signal([0.0, 1.0], [1.0, np.inf])
 
     def test_immutable(self):
         s = Signal([0.0, 1.0], [1.0, 2.0])
@@ -101,6 +114,12 @@ class TestUnevenGrid:
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0)
         assert t[-1] <= 3 * math.pi
+
+    @pytest.mark.parametrize("mode", ["sorted", "modulated"])
+    def test_signal_on_it_is_uneven(self, mode):
+        for seed in range(10):
+            t = uneven_grid(31, 3 * math.pi, seed, mode)
+            assert Signal(t, np.sin(t)).step is None
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
