@@ -37,6 +37,11 @@ class TestSignal:
             Signal([0.0, 0.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             Signal([0.0, 1.0], [1.0, np.nan])
+
+    def test_even_grid_validation(self):
+        # Zero step, a single sample and an infinite value are all rejected.
+        with pytest.raises(ValueError):
+            Signal(np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError):
             Signal([0.0], [1.0])
         with pytest.raises(ValueError):
