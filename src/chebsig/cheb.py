@@ -309,23 +309,27 @@ def _chop_point(coeffs: np.ndarray, tol: float) -> int:
         return 1
     env = env / env[0]
 
-    plateau_point = None
-    j2 = 0
-    for j in range(2, n + 1):
-        j2 = math.floor(1.25 * j + 5.5)  # round half up, as published
-        if j2 > n:
-            return n
-        e1 = env[j - 1]
-        e2 = env[j2 - 1]
-        if e1 == 0.0:
-            plateau_point = j - 1
-            break
-        r = 3.0 * (1.0 - math.log(e1) / math.log(tol))
-        if e2 / e1 > r:
-            plateau_point = j - 1
-            break
-    if plateau_point is None:
+    # Test j = 2..n while j2 = floor(1.25 j + 5.5) (round half up, as
+    # published) stays <= n; j2 increases with j, so that is a prefix.
+    j2s = (5 * np.arange(2, n + 1) + 22) // 4
+    j2s = j2s[j2s <= n]
+    e1 = env[1 : j2s.size + 1]
+    e2 = env[j2s - 1]
+    # env is non-increasing, so its zeros are a suffix of e1.
+    live = int(np.count_nonzero(e1))
+    # math.log, not np.log: the two differ in the last bit for some inputs,
+    # which could flip a plateau decision.
+    logs = np.fromiter(map(math.log, e1[:live]), float, live)
+    r = 3.0 * (1.0 - logs / math.log(tol))
+    hits = np.flatnonzero(e2[:live] / e1[:live] > r)
+    if hits.size:
+        i = int(hits[0])
+    elif live < e1.size:
+        i = live
+    else:
         return n
+    plateau_point = i + 1
+    j2 = int(j2s[i])
 
     if env[plateau_point - 1] == 0.0:
         return plateau_point
@@ -425,14 +429,26 @@ def evaluate(p: ChebInterpolant, x):
     """Evaluate the series by the Clenshaw recurrence.
 
     Scalar in, float out; array in, array out.  Points outside the domain
-    extrapolate.
+    extrapolate; non-finite points raise ValueError.  The recurrence runs
+    in place in three preallocated buffers with ``2 s`` computed once, and
+    rounds every element exactly as the textbook form
+    ``b1, b2 = 2.0 * s * b1 - b2 + c[k], b1`` does, so the results have
+    the same bits.
     """
-    s = p.domain.to_unit(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("points must be finite")
+    s = p.domain.to_unit(x)
     c = p.coeffs
+    s2 = 2.0 * s
     b1 = np.zeros_like(s)
     b2 = np.zeros_like(s)
+    t = np.empty_like(s)
     for k in range(c.size - 1, 0, -1):
-        b1, b2 = 2.0 * s * b1 - b2 + c[k], b1
+        np.multiply(s2, b1, out=t)
+        t -= b2
+        t += c[k]
+        b1, b2, t = t, b1, b2
     out = s * b1 - b2 + c[0]
     return out if out.ndim else float(out)
 

@@ -51,12 +51,18 @@ class Signal:
         y = np.asarray(self.y, dtype=float)
         if t.ndim != 1 or t.size < 2 or t.shape != y.shape:
             raise ValueError("t and y must be 1-D, equal length >= 2")
-        dt = np.diff(t)
-        if np.any(dt <= 0):
-            raise ValueError("t must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
             raise ValueError("samples must be finite")
-        step = (t[-1] - t[0]) / (t.size - 1)
+        if np.any(t[1:] <= t[:-1]):
+            raise ValueError("t must be strictly increasing")
+        span = float(t[-1]) - float(t[0])
+        if not math.isfinite(span):
+            raise ValueError(
+                f"sample times [{t[0]}, {t[-1]}] overflow: t[-1] - t[0] is not finite"
+            )
+        # With t increasing and its span finite, no spacing overflows.
+        dt = np.diff(t)
+        step = span / (t.size - 1)
         even = np.max(np.abs(dt - step)) <= EVEN_RTOL * step
         object.__setattr__(self, "step", float(step) if even else None)
         for arr, name in ((t, "t"), (y, "y")):

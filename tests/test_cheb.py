@@ -274,6 +274,14 @@ class TestEvaluate:
         vec = evaluate(p, xs)
         assert np.array_equal(vec, np.array([evaluate(p, x) for x in xs]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_points(self, bad):
+        p = ChebInterpolant([1.0, 0.0, -3.0], UNIT)
+        with pytest.raises(ValueError, match="points must be finite"):
+            evaluate(p, bad)
+        with pytest.raises(ValueError, match="points must be finite"):
+            evaluate(p, [0.0, bad])
+
 
 class TestBarycentric:
     def test_node_coincidence_bit_exact(self):

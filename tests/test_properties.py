@@ -1,9 +1,14 @@
 """Randomized property tests for the library invariants."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from chebsig.cheb import (
+    ChebInterpolant,
+    Domain,
+    _chop_point,
     cheb_points_first_kind,
     cheb_points_second_kind,
     evaluate,
@@ -140,3 +145,103 @@ def test_moving_average_dc_gain(level, window):
     s = Signal(np.arange(40.0), np.full(40, level))
     out = moving_average(s, window)
     assert np.allclose(out.y[window - 1:], level, atol=1e-12 * max(1, abs(level)))
+
+
+def _textbook_clenshaw(p, x):
+    """Clenshaw in its textbook form: the bit-identity reference for evaluate."""
+    s = p.domain.to_unit(np.asarray(x, dtype=float))
+    c = p.coeffs
+    b1 = np.zeros_like(s)
+    b2 = np.zeros_like(s)
+    for k in range(c.size - 1, 0, -1):
+        b1, b2 = 2.0 * s * b1 - b2 + c[k], b1
+    out = s * b1 - b2 + c[0]
+    return out if out.ndim else float(out)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=0, max_value=2000),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([Domain(-1.0, 1.0), Domain(-3.0, 7.5)]),
+       st.sampled_from(["scalar", "0-d", "empty", "array"]))
+def test_evaluate_is_bit_identical_to_textbook_clenshaw(degree, seed, domain, shape):
+    rng = np.random.default_rng(seed)
+    p = ChebInterpolant(rng.standard_normal(degree + 1) / np.arange(1, degree + 2), domain)
+    # The points reach 4/(degree+1) half-widths past each end: far enough to
+    # extrapolate, near enough that T_degree stays finite there.
+    reach = 1.0 + 4.0 / (degree + 1)
+    x = domain.from_unit(rng.uniform(-reach, reach, 41))
+    x = {"scalar": float(x[0]), "0-d": np.array(x[0]), "empty": x[:0], "array": x}[shape]
+    got, want = evaluate(p, x), _textbook_clenshaw(p, x)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+
+
+def _scalar_chop_point(coeffs, tol):
+    """The plateau walk one j at a time: the bit-identity reference for
+    _chop_point (Aurentz & Trefethen 2017)."""
+    n = coeffs.size
+    if n < 17:
+        return n
+    env = np.abs(coeffs[::-1])
+    np.maximum.accumulate(env, out=env)
+    env = env[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+
+    plateau_point = None
+    j2 = 0
+    for j in range(2, n + 1):
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return n
+        e1 = env[j - 1]
+        e2 = env[j2 - 1]
+        if e1 == 0.0:
+            plateau_point = j - 1
+            break
+        r = 3.0 * (1.0 - math.log(e1) / math.log(tol))
+        if e2 / e1 > r:
+            plateau_point = j - 1
+            break
+    if plateau_point is None:
+        return n
+
+    if env[plateau_point - 1] == 0.0:
+        return plateau_point
+
+    j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
+    if j3 < j2:
+        j2 = j3 + 1
+        env = env.copy()
+        env[j2 - 1] = tol ** (7.0 / 6.0)
+    cc = np.log10(env[:j2])
+    cc += np.linspace(0.0, (-1.0 / 3.0) * math.log10(tol), j2)
+    d = int(np.argmin(cc))
+    return max(d, 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=1, max_value=5000),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(["decay", "zero_tail", "plateau", "interpolant"]),
+       st.floats(min_value=-16.0, max_value=-6.0))
+def test_chop_point_matches_scalar_walk(n, seed, tail, log10_tol):
+    rng = np.random.default_rng(seed)
+    tol = 10.0 ** log10_tol
+    if tail == "interpolant":
+        # A Runge function's coefficients: geometric decay into a rounding
+        # plateau, as adaptive construction sees them.
+        x = cheb_points_second_kind(max(n - 1, 1)).points
+        width = rng.uniform(0.1, 50.0)
+        coeffs = interpolant_from_values(1.0 / (1.0 + (width * x) ** 2)).coeffs
+    else:
+        rate = 10.0 ** -rng.uniform(1e-3, 1.0)
+        coeffs = rate ** np.arange(n) * rng.choice([-1.0, 1.0], n)
+        if tail == "zero_tail":
+            coeffs[rng.integers(1, n + 1):] = 0.0
+        elif tail == "plateau":
+            level = 10.0 ** rng.uniform(-17.0, -5.0)
+            coeffs += level * rng.standard_normal(n)
+    assert _chop_point(coeffs, tol) == _scalar_chop_point(coeffs, tol)

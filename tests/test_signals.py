@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ class TestSignal:
             Signal([0.0], [1.0])
         with pytest.raises(ValueError):
             Signal([0.0, 1.0], [1.0, np.inf])
+
+    @pytest.mark.parametrize("t", [[-1e308, 0.0, 1e308], [-1e308, 1e308]])
+    def test_rejects_overflowing_span(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                Signal(t, np.zeros(len(t)))
 
     def test_immutable(self):
         s = Signal([0.0, 1.0], [1.0, 2.0])
