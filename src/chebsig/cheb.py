@@ -321,6 +321,8 @@ def _chop_point(coeffs: np.ndarray, tol: float) -> int:
     # which could flip a plateau decision.
     logs = np.fromiter(map(math.log, e1[:live]), float, live)
     r = 3.0 * (1.0 - logs / math.log(tol))
+    # The walk stops at the first j whose ratio test passes, else at the
+    # first zero of the envelope; with neither there is no plateau.
     hits = np.flatnonzero(e2[:live] / e1[:live] > r)
     if hits.size:
         i = int(hits[0])
