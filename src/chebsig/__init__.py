@@ -33,7 +33,6 @@ from .cheb import (
 )
 from .conditioning import (
     Basis,
-    BasisMatrix,
     NumericallySingularError,
     build_basis_matrix,
     clenshaw_curtis_weights,
@@ -59,7 +58,6 @@ from .nodes import (
 )
 from .report import ExperimentReport, Series, write_report
 from .signals import (
-    GammaForm,
     GammaParams,
     PeakMetrics,
     Signal,
@@ -67,9 +65,7 @@ from .signals import (
     gamma_variate,
     moving_average,
     peak_metrics,
-    read_signal_csv,
     uneven_grid,
-    write_signal_csv,
 )
 
 __version__ = "0.1.0"

@@ -229,7 +229,14 @@ def cheb_points_first_kind(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
 def _map_unit_points(unit: np.ndarray, domain: Domain) -> np.ndarray:
     if domain.a == -1.0 and domain.b == 1.0:
         return unit  # keep the signed zeros / exact symmetry untouched
-    return np.asarray(domain.from_unit(unit))
+    # from_unit can round an end point just outside [a, b], e.g.
+    # Domain(0.24, 3.14).from_unit(-1) = 0.23999999999999977.
+    pts = np.clip(domain.from_unit(unit), domain.a, domain.b)
+    if np.any(pts[1:] <= pts[:-1]):
+        raise ValueError(
+            f"domain [{domain.a}, {domain.b}] is too narrow to separate {unit.size} nodes"
+        )
+    return pts
 
 
 def eval_cheb_poly(k: int, x):
@@ -351,7 +358,6 @@ def interpolant_from_function(
     f: Callable,
     domain: Domain = UNIT_DOMAIN,
     n: int | None = None,
-    eps_rel: float = _EPS,
 ) -> ChebInterpolant:
     """Interpolant of a callable, either at a fixed degree or adaptively.
 
@@ -363,10 +369,8 @@ def interpolant_from_function(
     n : int or None
         Fixed degree (samples at n+1 second-kind points).  None selects
         adaptive mode: grids of 2^k + 1 points for k = 3..16, accepted once
-        the coefficient tail has decayed to a plateau below ``eps_rel``
+        the coefficient tail has decayed to a plateau below 2^-52
         relative to the largest coefficient, then chopped there.
-    eps_rel : float
-        Relative resolution target for adaptive mode.
 
     Raises
     ------
@@ -388,7 +392,7 @@ def interpolant_from_function(
         scale = np.max(np.abs(coeffs))
         if scale == 0.0:
             return ChebInterpolant(np.zeros(1), domain)
-        cut = _chop_point(coeffs, eps_rel)
+        cut = _chop_point(coeffs, _EPS)
         if cut < coeffs.size:
             return ChebInterpolant(coeffs[:cut], domain)
     raise UnresolvedFunctionError(
@@ -460,7 +464,7 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
 
     Uses the closed-form weights (-1)^j, halved at the two endpoints.  When
     a query point coincides with a node the stored value is returned
-    bit-exactly.
+    bit-exactly; non-finite query points raise ValueError.
 
     Parameters
     ----------
@@ -493,9 +497,12 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
         out = (ratio @ v) / np.sum(ratio, axis=1)
     out[exact_q] = v[exact_n]
     # Queries merely ulps away from a node overflow w/diff; the limit is
-    # the node value, so snap to the nearest one.
+    # the node value, so snap to the nearest one.  A non-finite query also
+    # gives a non-finite quotient, so it is caught here, off the common path.
     bad = np.nonzero(~np.isfinite(out))[0]
     if bad.size:
+        if not np.all(np.isfinite(xq[bad])):
+            raise ValueError("points must be finite")
         out[bad] = v[np.argmin(np.abs(diff[bad]), axis=1)]
     return float(out[0]) if scalar else out
 

@@ -13,7 +13,6 @@ rounding, which is why the digits here are grid-independent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .cheb import Domain, cheb_points_second_kind, eval_cheb_poly
 
 __all__ = [
     "Basis",
-    "BasisMatrix",
     "NumericallySingularError",
     "clenshaw_curtis_weights",
     "build_basis_matrix",
@@ -45,25 +43,6 @@ class NumericallySingularError(ValueError):
     """The basis matrix is numerically rank-deficient."""
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
-    """sqrt-weight scaled samples of basis functions, one column per degree."""
-
-    basis: Basis
-    domain: Domain
-    max_degree: int
-    grid_size: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.grid_size, self.max_degree + 1):
-            raise ValueError("entries shape does not match grid/degree")
-        e = e.copy()
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-
-
 def clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Quadrature weights for the n+1 second-kind points on [-1, 1]."""
     if n == 0:
@@ -83,8 +62,9 @@ def build_basis_matrix(
     domain: Domain,
     max_degree: int,
     grid_size: int = DEFAULT_GRID,
-) -> BasisMatrix:
-    """Assemble the weighted sample matrix for degrees 0..max_degree.
+) -> np.ndarray:
+    """Assemble the weighted sample matrix for degrees 0..max_degree: one
+    column per degree, sqrt-weight scaled, one row per grid point.
 
     grid_size must be at least 4*(max_degree+1) so the quadrature resolves
     every column product.
@@ -105,16 +85,15 @@ def build_basis_matrix(
         cols = [eval_cheb_poly(k, s) for k in range(max_degree + 1)]
     else:
         cols = [x ** k for k in range(max_degree + 1)]
-    entries = np.column_stack(cols) * sqrt_w[:, None]
-    return BasisMatrix(basis, domain, max_degree, grid_size, entries)
+    return np.column_stack(cols) * sqrt_w[:, None]
 
 
-def singular_values(m: BasisMatrix) -> np.ndarray:
+def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of the weighted sample matrix, descending."""
-    return np.linalg.svd(m.entries, compute_uv=False)
+    return np.linalg.svd(m, compute_uv=False)
 
 
-def condition_number(m: BasisMatrix) -> float:
+def condition_number(m: np.ndarray) -> float:
     """sigma_max / sigma_min of the basis matrix.
 
     Raises
@@ -144,6 +123,5 @@ def conditioning_sweep(
     full = build_basis_matrix(basis, domain, n_max, grid_size)
     out = np.empty(n_max + 1)
     for n in range(n_max + 1):
-        sub = BasisMatrix(basis, domain, n, grid_size, full.entries[:, : n + 1])
-        out[n] = condition_number(sub)
+        out[n] = condition_number(full[:, : n + 1])
     return out

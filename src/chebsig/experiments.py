@@ -54,7 +54,6 @@ from .nodes import (
 )
 from .report import ExperimentReport, write_report
 from .signals import (
-    GammaForm,
     GammaParams,
     Signal,
     add_noise,
@@ -91,10 +90,11 @@ UNIT = Domain(-1.0, 1.0)
 GAMMA_SPAN = 3 * np.pi
 GAMMA_SAMPLES = 31
 GAMMA_DOMAIN = Domain(0.0, GAMMA_SPAN)
-GAMMA_PARAMS = GammaParams(shape=2.0, scale=1.0, form=GammaForm.NORMALIZED_PDF)
+GAMMA_PARAMS = GammaParams(shape=2.0, scale=1.0)
 NOISE_SIGMA = 0.02
 FOURIER_DENSE = 1000
 FILTER_SAMPLES = 301
+CONVERGE_N_MAX = 300
 
 #: Coefficient magnitudes below this (relative) count as "significant" when
 #: classifying even/odd structure of a series.
@@ -147,11 +147,11 @@ def _cc_norm(weights, values):
     return math.sqrt(float(np.sum(weights * values ** 2)))
 
 
-def run_converge(out_dir=None, svg=False, n_max=300):
+def run_converge(out_dir=None, svg=False):
     """Interpolation error of e^x and the Runge function versus degree.
 
     Records quadrature-weighted L2 errors (2048-point grid) and sup errors
-    (10^4+1 uniform points) for degrees 1..n_max, and the first degree at
+    (10^4+1 uniform points) for degrees 1..300, and the first degree at
     which both L2 errors drop below 2^-52 times the function norm.
     """
     grid_n = 2047
@@ -167,9 +167,9 @@ def run_converge(out_dir=None, svg=False, n_max=300):
     norms_sup = {k: float(np.max(np.abs(v))) for k, v in ref_u.items()}
 
     eps = 2.0 ** -52
-    ns = np.arange(1, n_max + 1)
-    errs_l2 = {k: np.empty(n_max) for k in funcs}
-    errs_sup = {k: np.empty(n_max) for k in funcs}
+    ns = np.arange(1, CONVERGE_N_MAX + 1)
+    errs_l2 = {k: np.empty(CONVERGE_N_MAX) for k in funcs}
+    errs_sup = {k: np.empty(CONVERGE_N_MAX) for k in funcs}
     threshold_l2 = None
     threshold_sup = None
     for i, n in enumerate(ns):
@@ -201,11 +201,11 @@ def run_converge(out_dir=None, svg=False, n_max=300):
     if threshold_l2 is not None:
         report.add_scalar("threshold_l2", threshold_l2)
     else:
-        report.metadata["threshold_l2"] = f"not reached within n_max={n_max}"
+        report.metadata["threshold_l2"] = f"not reached within n_max={CONVERGE_N_MAX}"
     if threshold_sup is not None:
         report.add_scalar("threshold_sup", threshold_sup)
     else:
-        report.metadata["threshold_sup"] = f"not reached within n_max={n_max}"
+        report.metadata["threshold_sup"] = f"not reached within n_max={CONVERGE_N_MAX}"
     report.add_scalar("exp_err_l2_at_20", errs_l2["exp"][19])
     e = errs_l2["runge"]
     ratios = e[59:120] / e[57:118]  # e(n)/e(n-2) for n = 60..120

@@ -18,6 +18,9 @@ __all__ = [
     "smallest_nonzero_midpoint",
 ]
 
+#: Newton sweeps before legendre_points gives up; counts up to 1e4 need 4 or 5.
+_NEWTON_SWEEPS = 100
+
 
 @dataclass(frozen=True)
 class DistanceProfile:
@@ -47,7 +50,7 @@ def _legendre_and_derivative(n: int, x: np.ndarray):
     return p, dp
 
 
-def legendre_points(count: int, max_iter: int = 100) -> NodeSet:
+def legendre_points(count: int) -> NodeSet:
     """Roots of the degree-count Legendre polynomial on [-1, 1], ascending.
 
     Newton iteration on the recurrence, started from the classical
@@ -56,8 +59,8 @@ def legendre_points(count: int, max_iter: int = 100) -> NodeSet:
     Raises
     ------
     RuntimeError
-        If Newton has not converged after ``max_iter`` sweeps (not expected
-        for any count <= 1e4).
+        If Newton has not converged after ``_NEWTON_SWEEPS`` sweeps (not
+        expected for any count <= 1e4).
     """
     if count < 1:
         raise ValueError("legendre_points requires count >= 1")
@@ -65,7 +68,7 @@ def legendre_points(count: int, max_iter: int = 100) -> NodeSet:
         return NodeSet(NodeKind.LEGENDRE, np.zeros(1), UNIT_DOMAIN)
     k = np.arange(1, count + 1)
     x = np.cos(np.pi * (4 * k - 1) / (4 * count + 2))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_SWEEPS):
         p, dp = _legendre_and_derivative(count, x)
         dx = p / dp
         x -= dx

@@ -6,17 +6,14 @@ every curve produced here is reproducible from (parameters, seed).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Signal",
-    "GammaForm",
     "GammaParams",
     "PeakMetrics",
     "gamma_variate",
@@ -24,15 +21,13 @@ __all__ = [
     "add_noise",
     "moving_average",
     "peak_metrics",
-    "write_signal_csv",
-    "read_signal_csv",
 ]
 
 #: Relative wobble below which consecutive spacings count as one even step.
-#: Rounding the sample times wobbles the spacings by O(N eps max|t| / span)
-#: relative to the step, far below this for grids that start near 0; a
-#: short grid far from 0 can exceed it, e.g. np.linspace(63.17, 63.171, 1971)
-#: wobbles by 8.1e-9 and counts as uneven.
+#: Rounding the sample times also wobbles each spacing by up to a few ulps of
+#: max|t|, which on a short grid far from 0 exceeds EVEN_RTOL * step (e.g.
+#: np.linspace(63.17, 63.171, 1971) wobbles by 8.1e-9 of its step), so that
+#: rounding floor, 4 eps max(|t[0]|, |t[-1]|), is allowed on top.
 EVEN_RTOL = 1e-9
 
 
@@ -40,7 +35,7 @@ EVEN_RTOL = 1e-9
 class Signal:
     """Paired (t, y) samples.  ``step`` is derived from t: the even grid step
     (t[-1] - t[0]) / (N - 1) when every spacing is within ``EVEN_RTOL`` of
-    it, otherwise None."""
+    it, plus the rounding floor of the sample times, otherwise None."""
 
     t: np.ndarray
     y: np.ndarray
@@ -63,16 +58,13 @@ class Signal:
         # With t increasing and its span finite, no spacing overflows.
         dt = np.diff(t)
         step = span / (t.size - 1)
-        even = np.max(np.abs(dt - step)) <= EVEN_RTOL * step
+        floor = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+        even = np.max(np.abs(dt - step)) <= EVEN_RTOL * step + floor
         object.__setattr__(self, "step", float(step) if even else None)
         for arr, name in ((t, "t"), (y, "y")):
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def is_even(self) -> bool:
-        return self.step is not None
 
     def __len__(self) -> int:
         return self.t.size
@@ -81,48 +73,30 @@ class Signal:
         return Signal(self.t, y)
 
 
-class GammaForm(enum.Enum):
-    #: A * (t - t0)^alpha * exp(-(t - t0)/beta), zero before the onset.
-    AMPLITUDE = "amplitude"
-    #: A * beta^alpha (t - t0)^(alpha-1) exp(-beta (t - t0)) / Gamma(alpha).
-    NORMALIZED_PDF = "normalized-pdf"
-
-
 @dataclass(frozen=True)
 class GammaParams:
+    """alpha = shape, beta = scale in beta^alpha t^(alpha-1) e^(-beta t) / Gamma(alpha)."""
+
     shape: float
     scale: float
-    amplitude: float = 1.0
-    onset: float = 0.0
-    form: GammaForm = GammaForm.NORMALIZED_PDF
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0 or self.amplitude <= 0:
-            raise ValueError("shape, scale, and amplitude must be positive")
+        if self.shape <= 0 or self.scale <= 0:
+            raise ValueError("shape and scale must be positive")
 
 
 def gamma_variate(params: GammaParams, t) -> Signal:
-    """Evaluate a gamma-variate curve on the given ascending grid.
+    """Evaluate the gamma-variate curve on the given ascending grid.
 
-    Times before the onset map to zero.  With the normalized-pdf form,
-    shape=2 and scale=1 reduce to y = t * exp(-t).
+    Times before 0 map to zero.  shape=2 and scale=1 reduce to
+    y = t * exp(-t).
     """
     t = np.asarray(t, dtype=float)
-    tau = t - params.onset
-    y = np.zeros_like(tau)
-    pos = tau >= 0
+    y = np.zeros_like(t)
+    pos = t >= 0
     a, b = params.shape, params.scale
     with np.errstate(divide="ignore"):
-        if params.form is GammaForm.AMPLITUDE:
-            y[pos] = params.amplitude * tau[pos] ** a * np.exp(-tau[pos] / b)
-        else:
-            y[pos] = (
-                params.amplitude
-                * b ** a
-                * tau[pos] ** (a - 1.0)
-                * np.exp(-b * tau[pos])
-                / math.gamma(a)
-            )
+        y[pos] = b ** a * t[pos] ** (a - 1.0) * np.exp(-b * t[pos]) / math.gamma(a)
     return Signal(t, y)
 
 
@@ -162,21 +136,16 @@ def add_noise(signal: Signal, sigma: float, seed: int) -> Signal:
     return signal.with_values(signal.y + sigma * rng.standard_normal(len(signal)))
 
 
-def moving_average(signal: Signal, window: int, centered: bool = False) -> Signal:
-    """Length-window moving average with uniform weights.
+def moving_average(signal: Signal, window: int) -> Signal:
+    """Causal length-window moving average with uniform weights.
 
-    The default is the causal form y'[k] = mean(y[k-w+1 .. k]) with zeros
-    before the start, which carries an inherent lag of (w-1)/2 samples; the
-    centered variant trades the lag for symmetric zero padding.  Output
-    length equals input length either way.
+    y'[k] = mean(y[k-w+1 .. k]) with zeros before the start, which carries
+    an inherent lag of (w-1)/2 samples.  Output length equals input length.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     kernel = np.full(window, 1.0 / window)
-    if centered:
-        smoothed = np.convolve(signal.y, kernel, mode="same")
-    else:
-        smoothed = np.convolve(signal.y, kernel, mode="full")[: len(signal)]
+    smoothed = np.convolve(signal.y, kernel, mode="full")[: len(signal)]
     return signal.with_values(smoothed)
 
 
@@ -191,28 +160,3 @@ def peak_metrics(reference: Signal, candidate: Signal) -> PeakMetrics:
     ref = float(np.max(reference.y))
     cand = float(np.max(candidate.y))
     return PeakMetrics(ref, cand, abs(ref - cand))
-
-
-def write_signal_csv(signal: Signal, path, metadata: dict | None = None) -> None:
-    """Two-column (t, y) CSV with a comment line recording provenance.
-
-    The leading ``#`` line carries the spacing plus any caller-supplied
-    key=value pairs (generator parameters, seed); floats are printed with
-    17 significant digits so parsing them back is lossless.
-    """
-    spacing = f"even step={signal.step:.17g}" if signal.is_even else "uneven"
-    extra = "".join(f" {k}={v}" for k, v in (metadata or {}).items())
-    lines = [f"# spacing={spacing}{extra}", "t,y"]
-    for t, y in zip(signal.t, signal.y):
-        lines.append(f"{t:.17g},{y:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def read_signal_csv(path) -> Signal:
-    """Read a Signal written by :func:`write_signal_csv`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not rows or rows[0] != "t,y":
-        raise ValueError(f"{path}: not a signal CSV")
-    data = np.array([[float(c) for c in row.split(",")] for row in rows[1:]])
-    return Signal(data[:, 0], data[:, 1])

@@ -53,6 +53,10 @@ class TestDomain:
         with pytest.raises(ValueError, match="overflows"):
             Domain(a, b)
 
+    def test_too_narrow_to_separate_nodes(self):
+        with pytest.raises(ValueError, match="too narrow to separate 5 nodes"):
+            cheb_points_second_kind(4, Domain(1.0, 1.0 + 2e-16))
+
     def test_maps_are_inverse(self):
         d = Domain(0.0, 6.0)
         x = np.linspace(0, 6, 13)
@@ -72,6 +76,14 @@ class TestNodeGeneration:
     def test_second_kind_affine_map(self):
         pts = cheb_points_second_kind(2, Domain(0.0, 2.0)).points
         assert np.allclose(pts, [0.0, 1.0, 2.0], atol=1e-15)
+
+    def test_end_points_rounding_outside_domain(self):
+        # from_unit(-1) on [0.24, 3.14] rounds to 0.23999999999999977.
+        dom = Domain(0.24, 3.14)
+        pts = cheb_points_second_kind(16, dom).points
+        assert pts[0] == 0.24 and pts[-1] == 3.14
+        p = interpolant_from_function(np.sin, dom)
+        assert abs(p(1.0) - math.sin(1.0)) < 1e-14
 
     def test_first_kind_small_counts(self):
         assert cheb_points_first_kind(1).points[0] == 0.0
@@ -324,6 +336,14 @@ class TestBarycentric:
         nodes = cheb_points_first_kind(5)
         with pytest.raises(ValueError):
             evaluate_barycentric(np.zeros(5), nodes, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_points(self, bad):
+        nodes = cheb_points_second_kind(4)
+        with pytest.raises(ValueError, match="points must be finite"):
+            evaluate_barycentric(np.arange(5.0), nodes, bad)
+        with pytest.raises(ValueError, match="points must be finite"):
+            evaluate_barycentric(np.arange(5.0), nodes, [0.0, bad])
 
     def test_query_ulps_from_node_stays_finite(self):
         # Subnormal distance to a node overflows the weights; the result

@@ -1,12 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from chebsig.cheb import Domain
 from chebsig.conditioning import (
     Basis,
-    BasisMatrix,
     NumericallySingularError,
     build_basis_matrix,
     clenshaw_curtis_weights,
@@ -35,11 +32,11 @@ class TestWeights:
 class TestBuildBasisMatrix:
     def test_constant_column_norm(self):
         m = build_basis_matrix(Basis.CHEBYSHEV, UNIT, 0, 64)
-        assert np.sum(m.entries[:, 0] ** 2) == pytest.approx(2.0, abs=1e-10)
+        assert np.sum(m[:, 0] ** 2) == pytest.approx(2.0, abs=1e-10)
 
     def test_linear_monomial_column_norm(self):
         m = build_basis_matrix(Basis.MONOMIAL, UNIT, 1, 64)
-        assert np.sum(m.entries[:, 1] ** 2) == pytest.approx(2 / 3, abs=1e-10)
+        assert np.sum(m[:, 1] ** 2) == pytest.approx(2 / 3, abs=1e-10)
 
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
@@ -48,8 +45,7 @@ class TestBuildBasisMatrix:
 
 class TestSingularValues:
     def test_embedded_diagonal(self):
-        m = BasisMatrix(Basis.MONOMIAL, UNIT, 1, 2, np.diag([3.0, 1.0]))
-        assert np.allclose(singular_values(m), [3.0, 1.0])
+        assert np.allclose(singular_values(np.diag([3.0, 1.0])), [3.0, 1.0])
 
     def test_reference_extremes(self):
         sv = singular_values(build_basis_matrix(Basis.CHEBYSHEV, UNIT, 10))
@@ -69,8 +65,7 @@ class TestSingularValues:
     def test_frobenius_identity(self):
         rng = np.random.default_rng(6)
         entries = rng.standard_normal((64, 5))
-        m = BasisMatrix(Basis.MONOMIAL, UNIT, 4, 64, entries)
-        sv = singular_values(m)
+        sv = singular_values(entries)
         assert np.sum(sv ** 2) == pytest.approx(
             np.sum(entries ** 2), rel=1e-10
         )
@@ -95,14 +90,12 @@ class TestConditionNumber:
         entries = np.zeros((8, 2))
         entries[:, 0] = 1.0
         entries[:, 1] = 1.0 + 1e-15
-        m = BasisMatrix(Basis.MONOMIAL, UNIT, 1, 8, entries)
         with pytest.raises(NumericallySingularError):
-            condition_number(m)
+            condition_number(entries)
 
     def test_scaling_invariance(self):
         m = build_basis_matrix(Basis.CHEBYSHEV, UNIT, 10)
-        scaled = dataclasses.replace(m, entries=m.entries * 17.5)
-        a, b = condition_number(m), condition_number(scaled)
+        a, b = condition_number(m), condition_number(m * 17.5)
         assert abs(a - b) < 1e-12 * a
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chebsig import nodes
 from chebsig.cheb import cheb_points_first_kind, cheb_points_second_kind
 from chebsig.nodes import (
     compare_nodes,
@@ -55,9 +56,10 @@ class TestLegendrePoints:
         roots = legendre_points(n).points
         assert np.max(np.abs(roots + roots[::-1])) < 1e-15
 
-    def test_newton_iteration_cap(self):
+    def test_newton_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(nodes, "_NEWTON_SWEEPS", 1)
         with pytest.raises(RuntimeError):
-            legendre_points(50, max_iter=1)
+            legendre_points(50)
 
     def test_interlacing_with_first_kind_points(self):
         # The two interior families align closely at n=100: every gap

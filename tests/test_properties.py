@@ -100,12 +100,28 @@ def test_parseval(n):
 
 @settings(deadline=None, max_examples=100)
 @given(st.floats(min_value=1e-6, max_value=1e6),
-       st.floats(min_value=-10.0, max_value=10.0),
+       st.floats(min_value=-1e4, max_value=1e4),
        st.integers(min_value=2, max_value=5000))
 def test_linspace_step_is_derived(span, start_in_spans, n):
     a = start_in_spans * span
     t = np.linspace(a, a + span, n)
     assert Signal(t, np.zeros(n)).step == (t[-1] - t[0]) / (n - 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+       st.integers(min_value=1, max_value=10 ** 4),
+       st.integers(min_value=1, max_value=200),
+       st.sampled_from([cheb_points_first_kind, cheb_points_second_kind]))
+def test_nodes_on_two_decimal_domains(a, width, n, kind):
+    # Mapped nodes stay inside [a, b]; clipping moves only those that
+    # from_unit rounded outside it.
+    dom = Domain(a / 100, (a + width) / 100)
+    pts = kind(n, dom).points
+    raw = dom.from_unit(kind(n).points)
+    assert dom.a <= pts[0] and pts[-1] <= dom.b
+    inside = (dom.a <= raw) & (raw <= dom.b)
+    assert np.array_equal(pts[inside], raw[inside])
 
 
 @settings(deadline=None, max_examples=40)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chebsig.signals import (
-    GammaForm,
     GammaParams,
     Signal,
     add_noise,
@@ -19,15 +18,17 @@ from chebsig.signals import (
 class TestSignal:
     def test_even_detection(self):
         s = Signal(np.linspace(0, 1, 11), np.zeros(11))
-        assert s.is_even
+        assert s.step is not None
         s = Signal([0.0, 0.1, 0.5], np.zeros(3))
-        assert not s.is_even
+        assert s.step is None
 
     def test_derived_step(self):
         s = Signal(1.0 + 0.5 * np.arange(4), np.zeros(4))
         assert s.step == 0.5
         assert np.array_equal(s.t, [1.0, 1.5, 2.0, 2.5])
         assert Signal(np.arange(50.0), np.zeros(50)).step == 1.0
+        # Far from 0 the rounding of t wobbles the spacings by 8.1e-9 of it.
+        assert Signal(np.linspace(63.17, 63.171, 1971), np.zeros(1971)).step is not None
 
     def test_step_is_not_an_argument(self):
         with pytest.raises(TypeError):
@@ -68,18 +69,11 @@ class TestGammaVariate:
         assert s.y[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
         assert np.allclose(s.y, s.t * np.exp(-s.t), rtol=1e-15)
 
-    def test_amplitude_form_zero_at_onset(self):
-        params = GammaParams(shape=2.0, scale=1.0, amplitude=3.0, onset=1.0,
-                             form=GammaForm.AMPLITUDE)
-        s = gamma_variate(params, [1.0, 2.0, 3.0])
-        assert s.y[0] == 0.0
-        assert s.y[1] == pytest.approx(3.0 * 1.0 * math.exp(-1.0), rel=1e-15)
-
     def test_zero_before_onset(self):
-        params = GammaParams(shape=2.0, scale=1.0, onset=2.0,
-                             form=GammaForm.AMPLITUDE)
-        s = gamma_variate(params, [0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(s.y[:3], [0.0, 0.0, 0.0])
+        params = GammaParams(shape=2.0, scale=1.0)
+        s = gamma_variate(params, [-2.0, -1.0, -1e-300, 0.0, 1.0])
+        assert np.array_equal(s.y[:4], [0.0, 0.0, 0.0, 0.0])
+        assert s.y[4] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_grid_maximum(self):
         params = GammaParams(shape=2.0, scale=1.0)
@@ -205,13 +199,6 @@ class TestMovingAverage:
             wins += rms_filt < rms_raw
         assert wins >= 18
 
-    def test_centered_variant_has_no_lag(self):
-        t = np.arange(40.0)
-        s = Signal(t, t)  # linear ramp
-        centered = moving_average(s, 5, centered=True)
-        # Away from the edges a centered window reproduces a line exactly.
-        assert np.allclose(centered.y[2:-2], s.y[2:-2], rtol=1e-14)
-
 
 class TestPeakMetrics:
     def test_identical(self):
@@ -225,39 +212,3 @@ class TestPeakMetrics:
         m = peak_metrics(a, b)
         assert m == (1.0, 1.5, 0.5)
 
-
-class TestSignalCsv:
-    def test_round_trip_even(self, tmp_path):
-        from chebsig.signals import read_signal_csv, write_signal_csv
-
-        t = np.linspace(0.0, 3 * np.pi, 31)
-        s = gamma_variate(GammaParams(shape=2.0, scale=1.0), t)
-        path = tmp_path / "sig.csv"
-        write_signal_csv(s, path, {"seed": "42", "alpha": "2"})
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("# spacing=even")
-        assert "seed=42" in header
-        back = read_signal_csv(path)
-        assert back.is_even
-        assert np.array_equal(back.t, s.t)
-        assert np.array_equal(back.y, s.y)
-
-    def test_round_trip_uneven(self, tmp_path):
-        from chebsig.signals import read_signal_csv, write_signal_csv
-
-        t = uneven_grid(16, 2.0, seed=1)
-        s = Signal(t, np.sin(t))
-        path = tmp_path / "sig.csv"
-        write_signal_csv(s, path)
-        assert path.read_text().splitlines()[0] == "# spacing=uneven"
-        back = read_signal_csv(path)
-        assert not back.is_even
-        assert np.array_equal(back.y, s.y)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        from chebsig.signals import read_signal_csv
-
-        path = tmp_path / "x.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_signal_csv(path)
