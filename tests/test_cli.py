@@ -84,6 +84,14 @@ def test_run_all_check_passes_every_check(run_all_twice):
     assert "FAIL" not in stdout
 
 
+def _report_json_digest(path):
+    """sha256 of a report.json in canonical form: keys sorted, the wall-clock
+    ``elapsed_seconds`` scalar dropped, floats printed by ``json.dumps``."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["scalars"].pop("elapsed_seconds", None)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def test_run_all_matches_golden_digests(run_all_twice):
     out1, _, codes, _ = run_all_twice
     assert codes[0] == 0
@@ -91,4 +99,10 @@ def test_run_all_matches_golden_digests(run_all_twice):
     expected = json.loads(golden.read_text(encoding="utf-8"))["42"]
     digests = {p.relative_to(out1).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out1.rglob("*.csv")}
+    assert digests == expected
+    # The scalars the --check assertions read live in report.json, not in CSV.
+    golden = Path(__file__).parent / "golden_report_sha256.json"
+    expected = json.loads(golden.read_text(encoding="utf-8"))
+    digests = {p.relative_to(out1).as_posix(): _report_json_digest(p)
+               for p in out1.rglob("report.json")}
     assert digests == expected
