@@ -49,7 +49,6 @@ from .fourier import (
     trig_interpolate,
 )
 from .nodes import (
-    DistanceProfile,
     compare_nodes,
     legendre_points,
     mean_distance,
@@ -59,12 +58,10 @@ from .nodes import (
 from .report import ExperimentReport, Series, write_report
 from .signals import (
     GammaParams,
-    PeakMetrics,
     Signal,
     add_noise,
     gamma_variate,
     moving_average,
-    peak_metrics,
     uneven_grid,
 )
 

@@ -209,7 +209,7 @@ def cheb_points_second_kind(n: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     # positive argument and mirror.
     j = np.arange(n // 2 + 1, count)
     unit = _mirrored_half_points(count, (2 * j - n) * (np.pi / (2 * n)))
-    return NodeSet(NodeKind.CHEB_SECOND, _map_unit_points(unit, domain), domain)
+    return NodeSet(NodeKind.CHEB_SECOND, _map_unit_points(unit, domain, ends=True), domain)
 
 
 def cheb_points_first_kind(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
@@ -226,12 +226,16 @@ def cheb_points_first_kind(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     return NodeSet(NodeKind.CHEB_FIRST, _map_unit_points(unit, domain), domain)
 
 
-def _map_unit_points(unit: np.ndarray, domain: Domain) -> np.ndarray:
+def _map_unit_points(unit: np.ndarray, domain: Domain, ends: bool = False) -> np.ndarray:
+    """Map ascending unit points onto the domain; ``ends`` says that the
+    first and last are -1 and 1, and pins them to a and b."""
     if domain.a == -1.0 and domain.b == 1.0:
         return unit  # keep the signed zeros / exact symmetry untouched
     # from_unit can round an end point just outside [a, b], e.g.
-    # Domain(0.24, 3.14).from_unit(-1) = 0.23999999999999977.
+    # Domain(0.24, 3.14).from_unit(-1) = 0.23999999999999977, or just inside.
     pts = np.clip(domain.from_unit(unit), domain.a, domain.b)
+    if ends:
+        pts[0], pts[-1] = domain.a, domain.b
     if np.any(pts[1:] <= pts[:-1]):
         raise ValueError(
             f"domain [{domain.a}, {domain.b}] is too narrow to separate {unit.size} nodes"
@@ -403,8 +407,13 @@ def interpolant_from_function(
 
 def _sample(f: Callable, points: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(points), dtype=float)
-    if vals.shape != points.shape:
-        vals = np.array([f(x) for x in points], dtype=float)
+    if vals.ndim == 0:
+        vals = np.full(points.shape, vals)  # a constant f may return a scalar
+    elif vals.shape != points.shape:
+        raise ValueError(
+            f"f returned shape {vals.shape} for {points.size} points; "
+            "it must return one value per point"
+        )
     if not np.all(np.isfinite(vals)):
         raise ValueError("function returned non-finite values on the grid")
     return vals

@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from . import experiments as exp
+from .report import write_report
 
 USAGE_ERROR, CHECK_ERROR, IO_ERROR = 2, 1, 3
 
@@ -47,8 +48,10 @@ def main(argv=None) -> int:
     seed = getattr(args, "seed", 0)
     run_all = args.command == "run-all"
     try:
-        reports = (exp.run_all(seed, args.out, svg=args.svg) if run_all
-                   else exp.EXPERIMENTS[args.command].run(args))
+        reports = exp.run_all(seed) if run_all else exp.EXPERIMENTS[args.command].run(args)
+        if args.out is not None:
+            for r in reports:
+                write_report(r, args.out, svg=args.svg)
     except OSError as e:
         print(f"chebsig: I/O error: {e}", file=sys.stderr)
         return IO_ERROR

@@ -1,11 +1,11 @@
 """End-to-end experiment drivers behind the command-line harness.
 
-Each ``run_*`` function assembles an :class:`~chebsig.report.ExperimentReport`
-and optionally writes it (CSV series + report.json, plus SVG line plots on
-request).  Everything is deterministic given its arguments; wall-clock
-timings are reported as scalars in the JSON only, so CSV output is
-byte-identical across reruns.  ``EXPERIMENTS`` declares each subcommand
-once: its options, its run-all deck and its golden checks.
+Each ``run_*`` function computes an :class:`~chebsig.report.ExperimentReport`
+and returns it; none of them writes a file (:func:`chebsig.report.write_report`
+does).  Everything is deterministic given its arguments; wall-clock timings
+are reported as scalars in the JSON only, so CSV output is byte-identical
+across reruns.  ``EXPERIMENTS`` declares each subcommand once: its options,
+its run-all deck and its golden checks.
 """
 
 from __future__ import annotations
@@ -52,17 +52,14 @@ from .nodes import (
     smallest_nonzero_midpoint,
     uniform_points,
 )
-from .report import ExperimentReport, write_report
+from .report import ExperimentReport
 from .signals import (
     GammaParams,
-    Signal,
     add_noise,
     gamma_variate,
     moving_average,
-    peak_metrics,
     uneven_grid,
 )
-from .svg import write_line_plot
 
 __all__ = [
     "GAMMA_SPAN",
@@ -101,31 +98,11 @@ CONVERGE_N_MAX = 300
 PARITY_TOL = 1e-14
 
 
-def _emit(report, out_dir, svg):
-    if out_dir is not None:
-        exp_dir = write_report(report, out_dir)
-        if svg:
-            for s in report.series:
-                names = list(s.columns)
-                x = s.columns[names[0]]
-                ys = {n: s.columns[n] for n in names[1:]}
-                if ys:
-                    write_line_plot(exp_dir / f"{s.label}.svg", f"{report.name}: {s.label}", x, ys)
-    return report
-
-
-def run_random(points=10, seed=0, out_dir=None, values=None, svg=False):
-    """Interpolate seeded uniform(-1, 1) data at second-kind points.
-
-    ``values`` overrides the random draw (used by tests for fixed data).
-    """
+def run_random(points=10, seed=0):
+    """Interpolate seeded uniform(-1, 1) data at second-kind points."""
     if points < 2:
         raise ValueError("need at least 2 points")
-    if values is None:
-        rng = np.random.default_rng(seed)
-        data = rng.uniform(-1.0, 1.0, points)
-    else:
-        data = np.asarray(values, dtype=float)
+    data = np.random.default_rng(seed).uniform(-1.0, 1.0, points)
     start = time.perf_counter()
     p = interpolant_from_values(data, UNIT)
     lo, hi = min_and_max(p)
@@ -140,14 +117,14 @@ def run_random(points=10, seed=0, out_dir=None, values=None, svg=False):
     report.add_series("dense", {"x": xd, "p": evaluate(p, xd)})
     xz = np.linspace(0.9999, 1.0, 201)
     report.add_series("zoom", {"x": xz, "p": evaluate(p, xz)})
-    return _emit(report, out_dir, svg)
+    return report
 
 
 def _cc_norm(weights, values):
     return math.sqrt(float(np.sum(weights * values ** 2)))
 
 
-def run_converge(out_dir=None, svg=False):
+def run_converge():
     """Interpolation error of e^x and the Runge function versus degree.
 
     Records quadrature-weighted L2 errors (2048-point grid) and sup errors
@@ -213,10 +190,10 @@ def run_converge(out_dir=None, svg=False):
     report.add_scalar("runge_ratio_worst", float(np.max(np.abs(
         ratios - np.mean(ratios)))))
     report.metadata["norm"] = "Clenshaw-Curtis weighted L2 plus sup on uniform grid"
-    return _emit(report, out_dir, svg)
+    return report
 
 
-def run_scale(out_dir=None, svg=False):
+def run_scale():
     """Degree-9 interpolants of sin scaled to [-6, 6] versus [0, 6]."""
     full = Domain(-6.0, 6.0)
     part = Domain(0.0, 6.0)
@@ -241,10 +218,10 @@ def run_scale(out_dir=None, svg=False):
     report.add_scalar("max_err_full", float(np.max(err_full)))
     report.add_scalar("max_err_scaled_indomain", float(np.max(err_part[x >= 0.0])))
     report.add_scalar("err_scaled_at_minus6", float(err_part[0]))
-    return _emit(report, out_dir, svg)
+    return report
 
 
-def run_wavelen(out_dir=None, svg=False):
+def run_wavelen():
     """Adaptive series length against wave number for two test families."""
     ks = 2 ** np.arange(11)
     lengths = {"sin": [], "runge": []}
@@ -268,7 +245,7 @@ def run_wavelen(out_dir=None, svg=False):
     )
     if unresolved:
         report.metadata["unresolved"] = ", ".join(unresolved)
-    return _emit(report, out_dir, svg)
+    return report
 
 
 def _coeff_series(p):
@@ -276,7 +253,7 @@ def _coeff_series(p):
     return {"k": np.arange(c.size, dtype=float), "abs_coeff": c}
 
 
-def run_coeffs(function_id="atan", out_dir=None, svg=False):
+def run_coeffs(function_id="atan"):
     """Chebyshev coefficient magnitudes of selected test functions."""
     report = ExperimentReport(f"coeffs_{function_id}")
     if function_id == "atan":
@@ -314,7 +291,7 @@ def run_coeffs(function_id="atan", out_dir=None, svg=False):
         report.add_scalar("length", float(len(p)))
     else:
         raise ValueError(f"unknown coeffs function id {function_id!r}")
-    return _emit(report, out_dir, svg)
+    return report
 
 
 def _gamma_samples(spacing, noise, seed, uneven_mode):
@@ -333,10 +310,8 @@ def run_gamma(
     spacing="even",
     noise=False,
     seed=0,
-    out_dir=None,
     cheb_fit="node-values",
     uneven_mode="sorted",
-    svg=False,
 ):
     """Reconstruct the gamma-variate curve by Chebyshev and Fourier routes.
 
@@ -363,7 +338,8 @@ def run_gamma(
     if spacing == "uneven":
         report.metadata["uneven_mode"] = uneven_mode
     report.add_series("samples", {"t": t, "clean": clean.y, "observed": observed.y})
-    report.add_scalar("observed_max", float(np.max(observed.y)))
+    observed_max = float(np.max(observed.y))
+    report.add_scalar("observed_max", observed_max)
 
     cheb_nodes = cheb_points_second_kind(GAMMA_SAMPLES - 1, GAMMA_DOMAIN)
     if cheb_fit == "node-values":
@@ -385,9 +361,9 @@ def run_gamma(
     report.add_series("cheb_dense", {"t": xd, "p": evaluate(p, xd)})
     report.add_series("cheb_at_nodes", {"t": t, "p": cheb_at_samples})
     report.add_scalar("cheb_max_node_error", float(node_err))
-    gap = peak_metrics(observed, Signal(t, cheb_at_samples))
-    report.add_scalar("cheb_peak", gap.cand_max)
-    report.add_scalar("cheb_peak_gap", gap.abs_gap)
+    cheb_peak = float(np.max(cheb_at_samples))
+    report.add_scalar("cheb_peak", cheb_peak)
+    report.add_scalar("cheb_peak_gap", abs(observed_max - cheb_peak))
 
     try:
         fourier_at_nodes = trig_interpolate(t, observed.y, t)
@@ -398,16 +374,16 @@ def run_gamma(
             "fourier_max_node_error",
             float(np.max(np.abs(fourier_at_nodes - observed.y))),
         )
-        fgap = peak_metrics(observed, Signal(dense.t[keep], dense.y[keep]))
-        report.add_scalar("fourier_peak", fgap.cand_max)
-        report.add_scalar("fourier_peak_gap", fgap.abs_gap)
+        fourier_peak = float(np.max(dense.y[keep]))
+        report.add_scalar("fourier_peak", fourier_peak)
+        report.add_scalar("fourier_peak_gap", abs(observed_max - fourier_peak))
         report.metadata["fourier"] = "ok"
     except UnevenSpacingError as exc:
         report.metadata["fourier"] = f"unsupported: {exc}"
-    return _emit(report, out_dir, svg)
+    return report
 
 
-def run_spectrum(out_dir=None, svg=False):
+def run_spectrum():
     """Amplitude spectrum of the clean, evenly sampled gamma curve."""
     clean, _ = _gamma_samples("even", False, 0, "sorted")
     spec = amplitude_spectrum(clean)
@@ -429,10 +405,10 @@ def run_spectrum(out_dir=None, svg=False):
         float(np.sum(spec.amplitudes ** 2) / len(clean)),
     )
     report.add_scalar("length", float(len(spec)))
-    return _emit(report, out_dir, svg)
+    return report
 
 
-def run_deviation(out_dir=None, svg=False):
+def run_deviation():
     """Pointwise deviation of the clean gamma fit at its sample nodes."""
     clean, _ = _gamma_samples("even", False, 0, "sorted")
     p = interpolant_from_values(clean.y, GAMMA_DOMAIN)
@@ -442,10 +418,10 @@ def run_deviation(out_dir=None, svg=False):
     report.add_series("deviation", {"t": clean.t, "abs_deviation": dev})
     report.add_scalar("mean_abs_deviation", float(np.mean(dev)))
     report.add_scalar("max_deviation", float(np.max(dev)))
-    return _emit(report, out_dir, svg)
+    return report
 
 
-def run_filter(seed=0, window=5, out_dir=None, svg=False):
+def run_filter(seed=0, window=5):
     """Moving-average smoothing of the noisy gamma curve on a fine grid."""
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -463,10 +439,10 @@ def run_filter(seed=0, window=5, out_dir=None, svg=False):
         "rms_filtered", float(np.sqrt(np.mean((filtered.y - clean.y) ** 2)))
     )
     report.metadata.update(window=str(window), seed=str(seed))
-    return _emit(report, out_dir, svg)
+    return report
 
 
-def run_nodes(n=100, out_dir=None, svg=False):
+def run_nodes(n=100):
     """Node tables, node-set comparisons, and mean-distance profiles."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -496,16 +472,15 @@ def run_nodes(n=100, out_dir=None, svg=False):
             ("legendre", legendre_points(count).points),
             ("uniform", uniform_points(count).points),
         ):
-            prof = mean_distance(pts)
             report.add_series(
                 f"mean_distance_{count}_{label}",
-                {"x": prof.points, "gm_distance": prof.gm_distance},
+                {"x": pts, "gm_distance": mean_distance(pts)},
             )
     report.add_scalar("smallest_nonzero_midpoint", float(smallest_nonzero_midpoint()))
-    return _emit(report, out_dir, svg)
+    return report
 
 
-def run_condition(out_dir=None, svg=False):
+def run_condition():
     """Condition numbers of the Chebyshev and monomial bases by degree."""
     report = ExperimentReport("condition")
     cheb_sweep = conditioning_sweep(Basis.CHEBYSHEV, UNIT, 10)
@@ -525,7 +500,7 @@ def run_condition(out_dir=None, svg=False):
     sv = singular_values(build_basis_matrix(Basis.CHEBYSHEV, UNIT, 10))
     report.add_scalar("sigma_max_chebyshev", float(sv[0]))
     report.add_scalar("sigma_min_chebyshev", float(sv[-1]))
-    return _emit(report, out_dir, svg)
+    return report
 
 
 def _scalar(quantity, reports):
@@ -559,9 +534,9 @@ class Check:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One subcommand.  ``run`` maps parsed options (``out``, ``svg``, ``seed``
-    and one per ``options`` flag) to reports, looking its ``run_*`` function up
-    at call time; each ``deck`` entry holds one run-all call's overrides."""
+    """One subcommand.  ``run`` maps parsed options (``seed`` and one per
+    ``options`` flag) to reports, looking its ``run_*`` function up at call
+    time; each ``deck`` entry holds one run-all call's overrides."""
 
     help: str
     run: Callable[[SimpleNamespace], list]
@@ -570,11 +545,11 @@ class Experiment:
     deck: tuple = ({},)
     checks: tuple = ()
 
-    def run_deck(self, seed=0, out_dir=None, svg=False) -> list:
+    def run_deck(self, seed=0) -> list:
         defaults = {flag.lstrip("-").replace("-", "_"): kw.get("default")
                     for flag, kw in self.options.items()}
         return [r for over in self.deck for r in self.run(SimpleNamespace(
-            **{**defaults, **over}, seed=seed, out=out_dir, svg=svg))]
+            **{**defaults, **over}, seed=seed))]
 
 
 def _gap(quantity, ref):
@@ -589,8 +564,7 @@ def _dense_scan_gap(reports, seed):
 
 
 def _zero_data_extrema(reports, seed):
-    s = run_random(2, seed, values=[0.0, 0.0]).scalars
-    return s["min"] == 0.0 and s["max"] == 0.0
+    return min_and_max(interpolant_from_values([0.0, 0.0])) == (0.0, 0.0)
 
 
 def _runge_ratio_spread(reports, seed):
@@ -623,7 +597,7 @@ ARCTAN_COEFFS = {"a1": 0.828427124746190, "a3": -0.047378541243650, "a5": 0.0048
 
 EXPERIMENTS = {
     "random": Experiment(
-        "interpolate random data", lambda o: [run_random(o.n, o.seed, o.out, svg=o.svg)],
+        "interpolate random data", lambda o: [run_random(o.n, o.seed)],
         {"--n": dict(type=int, default=10, help="point count (default 10)")},
         seed=True, deck=({"n": 10}, {"n": 1000}), checks=(
             Check("random: report schema", lambda r, seed: (
@@ -632,7 +606,7 @@ EXPERIMENTS = {
             Check("random: min/max vs dense-grid scan", _dense_scan_gap, "<", 1e-8),
             Check("random: zero data gives zero extrema", _zero_data_extrema))),
     "converge": Experiment(
-        "error vs degree for e^x and Runge", lambda o: [run_converge(o.out, svg=o.svg)],
+        "error vs degree for e^x and Runge", lambda o: [run_converge()],
         checks=(
             Check("converge: machine-precision degree in [180, 260]",
                   lambda r, seed: r["converge"].scalars.get("threshold_l2", -1),
@@ -642,7 +616,7 @@ EXPERIMENTS = {
             Check("converge: Runge decay ratio within 5% of rho^-2",
                   _runge_ratio_spread, "<", 0.05 * RHO_INV_SQ))),
     "scale": Experiment(
-        "degree-9 sin fits on [-6,6] and [0,6]", lambda o: [run_scale(o.out, svg=o.svg)],
+        "degree-9 sin fits on [-6,6] and [0,6]", lambda o: [run_scale()],
         checks=(
             Check("scale: interpolant exact at its nodes",
                   "scale.max_node_err_full", "<", 1e-13),
@@ -651,7 +625,7 @@ EXPERIMENTS = {
             Check("scale: [0,6] fit blows up extrapolated to -6",
                   "scale.err_scaled_at_minus6", ">", 1.0))),
     "wavelen": Experiment(
-        "adaptive length vs wave number", lambda o: [run_wavelen(o.out, svg=o.svg)],
+        "adaptive length vs wave number", lambda o: [run_wavelen()],
         checks=(
             Check("wavelen: sin lengths nondecreasing",
                   lambda r, seed: bool(np.all(np.diff(_sin_lengths(r)) >= 0))),
@@ -664,7 +638,7 @@ EXPERIMENTS = {
                   "in", (1.6, 2.4)))),
     "coeffs": Experiment(
         "coefficient magnitude studies",
-        lambda o: [run_coeffs(i, o.out, svg=o.svg) for i in (
+        lambda o: [run_coeffs(i) for i in (
             ("atan", "tanh_sum", "stripe") if o.function == "all" else (o.function,))],
         {"--function": dict(choices=["atan", "tanh_sum", "stripe", "all"], default="all")},
         checks=(
@@ -680,8 +654,8 @@ EXPERIMENTS = {
                   ">", 0))),
     "gamma": Experiment(
         "gamma-variate reconstruction",
-        lambda o: [run_gamma(o.spacing, o.noise == "on", o.seed, o.out,
-                             cheb_fit=o.cheb_fit, uneven_mode=o.uneven_mode, svg=o.svg)],
+        lambda o: [run_gamma(o.spacing, o.noise == "on", o.seed,
+                             cheb_fit=o.cheb_fit, uneven_mode=o.uneven_mode)],
         {"--spacing": dict(choices=["even", "uneven"], default="even"),
          "--noise": dict(choices=["on", "off"], default="off"),
          "--cheb-fit": dict(choices=["node-values", "resample"], default="node-values"),
@@ -703,7 +677,7 @@ EXPERIMENTS = {
                 r["gamma_uneven_noise"].scalars["cheb_peak_gap"] == 0.0
                 and r["gamma_uneven_noise"].scalars["cheb_max_node_error"] < 1e-10)))),
     "spectrum": Experiment(
-        "amplitude spectrum of the gamma curve", lambda o: [run_spectrum(o.out, svg=o.svg)],
+        "amplitude spectrum of the gamma curve", lambda o: [run_spectrum()],
         checks=(
             Check("spectrum: DC bin equals |sum of samples|", _dc_error, "<", 1e-12),
             Check("spectrum: Parseval identity to 1e-9 relative", lambda r, seed: abs(
@@ -712,7 +686,7 @@ EXPERIMENTS = {
                 / r["spectrum"].scalars["sum_sq_values"], "<", 1e-9),
             Check("spectrum: 31 bins", "spectrum.length", "==", 31.0))),
     "deviation": Experiment(
-        "node deviations of the gamma fit", lambda o: [run_deviation(o.out, svg=o.svg)],
+        "node deviations of the gamma fit", lambda o: [run_deviation()],
         checks=(
             Check("deviation: mean absolute deviation below 1e-10",
                   "deviation.mean_abs_deviation", "<", 1e-10),
@@ -720,7 +694,7 @@ EXPERIMENTS = {
             Check("deviation: one row per sample",
                   lambda r, seed: len(r["deviation"].get_series("deviation")), "==", 31))),
     "filter": Experiment(
-        "moving-average smoothing", lambda o: [run_filter(o.seed, o.window, o.out, svg=o.svg)],
+        "moving-average smoothing", lambda o: [run_filter(o.seed, o.window)],
         {"--window": dict(type=int, default=5)}, seed=True, checks=(
             Check("filter: smoothing reduces RMS error", lambda r, seed: (
                 r["filter"].scalars["rms_raw"] - r["filter"].scalars["rms_filtered"]),
@@ -728,7 +702,7 @@ EXPERIMENTS = {
             Check("filter: window 1 is the identity", _window_one_is_identity),
             Check("filter: window and seed recorded", _window_one_recorded))),
     "nodes": Experiment(
-        "node tables and comparisons", lambda o: [run_nodes(o.n, o.out, svg=o.svg)],
+        "node tables and comparisons", lambda o: [run_nodes(o.n)],
         {"--n": dict(type=int, default=100, help="point count (default 100)")}, checks=(
             Check("nodes: 100-node comparison value 0.0084 +- 0.0005",
                   _gap("nodes.compare_max_diff", 0.0084), "<=", 0.0005),
@@ -739,7 +713,7 @@ EXPERIMENTS = {
                 r["nodes"].scalars["smallest_nonzero_midpoint"]
                 == float(smallest_nonzero_midpoint()))))),
     "condition": Experiment(
-        "basis conditioning sweep", lambda o: [run_condition(o.out, svg=o.svg)], checks=(
+        "basis conditioning sweep", lambda o: [run_condition()], checks=(
             Check("condition: Chebyshev basis 3.7126 within 1%",
                   _gap("condition.cond_chebyshev_deg10", 3.7126), "<", 0.01 * 3.7126),
             Check("condition: monomials on [-1,1] 3.073e3 within 2%",
@@ -749,6 +723,6 @@ EXPERIMENTS = {
 }
 
 
-def run_all(seed=0, out_dir=None, svg=False):
+def run_all(seed=0):
     """Run every experiment's run-all deck; returns the reports."""
-    return [r for e in EXPERIMENTS.values() for r in e.run_deck(seed, out_dir, svg)]
+    return [r for e in EXPERIMENTS.values() for r in e.run_deck(seed)]

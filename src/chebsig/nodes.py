@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cheb import UNIT_DOMAIN, Domain, NodeKind, NodeSet
 
 __all__ = [
-    "DistanceProfile",
     "legendre_points",
     "uniform_points",
     "compare_nodes",
@@ -20,24 +18,6 @@ __all__ = [
 
 #: Newton sweeps before legendre_points gives up; counts up to 1e4 need 4 or 5.
 _NEWTON_SWEEPS = 100
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Per-point geometric mean of the distances to all other points."""
-
-    points: np.ndarray
-    gm_distance: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        g = np.asarray(self.gm_distance, dtype=float)
-        if p.size != g.size:
-            raise ValueError("points and gm_distance lengths differ")
-        for arr, name in ((p, "points"), (g, "gm_distance")):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
@@ -96,7 +76,7 @@ def compare_nodes(a: NodeSet, b: NodeSet) -> float:
     return float(np.max(np.abs(a.points - b.points)))
 
 
-def mean_distance(points) -> DistanceProfile:
+def mean_distance(points) -> np.ndarray:
     """Geometric mean distance from each point to the other points.
 
     Entry j is (prod_{i != j} |x_j - x_i|)^(1/(count-1)); the zero
@@ -113,11 +93,10 @@ def mean_distance(points) -> DistanceProfile:
         raise ValueError("points must be distinct")
     logs = np.zeros_like(diff)
     np.log(diff, where=off_diag, out=logs)
-    gm = np.exp(logs.sum(axis=1) / (pts.size - 1))
-    return DistanceProfile(pts, gm)
+    return np.exp(logs.sum(axis=1) / (pts.size - 1))
 
 
-def smallest_nonzero_midpoint(limit: int = 10 ** 6) -> int:
+def smallest_nonzero_midpoint() -> int:
     """First even n >= 2 whose middle second-kind node is nonzero in binary64.
 
     The midpoint entry is cos((n/2) pi / n) computed exactly as written,
@@ -125,8 +104,6 @@ def smallest_nonzero_midpoint(limit: int = 10 ** 6) -> int:
     divide by n, then take the cosine.  Deterministic on IEEE-754 hardware.
     """
     n = 2
-    while n <= limit:
-        if math.cos((n // 2) * math.pi / n) != 0.0:
-            return n
+    while math.cos((n // 2) * math.pi / n) == 0.0:
         n += 2
-    raise RuntimeError(f"no nonzero midpoint found for even n up to {limit}")
+    return n

@@ -1,4 +1,4 @@
-"""Experiment reports and their CSV/JSON serialization.
+"""Experiment reports and their CSV/JSON/SVG serialization.
 
 CSV files are UTF-8, comma separated, one header row, with every float
 printed to 17 significant digits so values survive a parse round trip and
@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .svg import write_line_plot
 
 __all__ = ["Series", "ExperimentReport", "format_float", "write_report"]
 
@@ -82,8 +84,10 @@ def _write_series_csv(path: Path, series: Series) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def write_report(report: ExperimentReport, out_dir) -> Path:
-    """Write <out_dir>/<name>/<series>.csv files plus report.json.
+def write_report(report: ExperimentReport, out_dir, svg: bool = False) -> Path:
+    """Write <out_dir>/<name>/<series>.csv files plus report.json, and with
+    ``svg`` a <series>.svg line plot of every series with two or more
+    columns (first column on the x axis).
 
     Returns the experiment directory.  I/O failures propagate as OSError
     with the offending path in the message.
@@ -105,6 +109,11 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
         (exp_dir / "report.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"
         )
+        for s in report.series:
+            x_name, *y_names = s.columns
+            if svg and y_names:
+                write_line_plot(exp_dir / f"{s.label}.svg", f"{report.name}: {s.label}",
+                                s.columns[x_name], {n: s.columns[n] for n in y_names})
     except OSError as exc:
         raise OSError(f"failed writing report under {exp_dir}: {exc}") from exc
     return exp_dir

@@ -8,19 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Signal",
     "GammaParams",
-    "PeakMetrics",
     "gamma_variate",
     "uneven_grid",
     "add_noise",
     "moving_average",
-    "peak_metrics",
 ]
 
 #: Relative wobble below which consecutive spacings count as one even step.
@@ -68,9 +65,6 @@ class Signal:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def with_values(self, y) -> "Signal":
-        return Signal(self.t, y)
 
 
 @dataclass(frozen=True)
@@ -133,7 +127,7 @@ def add_noise(signal: Signal, sigma: float, seed: int) -> Signal:
     if sigma == 0:
         return signal
     rng = np.random.default_rng(seed)
-    return signal.with_values(signal.y + sigma * rng.standard_normal(len(signal)))
+    return Signal(signal.t, signal.y + sigma * rng.standard_normal(len(signal)))
 
 
 def moving_average(signal: Signal, window: int) -> Signal:
@@ -146,17 +140,4 @@ def moving_average(signal: Signal, window: int) -> Signal:
         raise ValueError("window must be >= 1")
     kernel = np.full(window, 1.0 / window)
     smoothed = np.convolve(signal.y, kernel, mode="full")[: len(signal)]
-    return signal.with_values(smoothed)
-
-
-class PeakMetrics(NamedTuple):
-    ref_max: float
-    cand_max: float
-    abs_gap: float
-
-
-def peak_metrics(reference: Signal, candidate: Signal) -> PeakMetrics:
-    """Maxima of both value vectors and their absolute difference."""
-    ref = float(np.max(reference.y))
-    cand = float(np.max(candidate.y))
-    return PeakMetrics(ref, cand, abs(ref - cand))
+    return Signal(signal.t, smoothed)

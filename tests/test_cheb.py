@@ -85,6 +85,11 @@ class TestNodeGeneration:
         p = interpolant_from_function(np.sin, dom)
         assert abs(p(1.0) - math.sin(1.0)) < 1e-14
 
+    def test_end_points_of_a_two_ulp_domain(self):
+        # a + b rounds to 2a here, so from_unit maps both -1 and 1 onto a.
+        dom = Domain(1.0, 1.0 + 2 ** -52)
+        assert np.array_equal(cheb_points_second_kind(1, dom).points, [dom.a, dom.b])
+
     def test_first_kind_small_counts(self):
         assert cheb_points_first_kind(1).points[0] == 0.0
         pts = cheb_points_first_kind(2).points
@@ -251,6 +256,17 @@ class TestInterpolantFromFunction:
     def test_constant_has_length_one(self):
         p = interpolant_from_function(lambda x: np.ones_like(x))
         assert len(p) == 1
+
+    def test_scalar_result_is_broadcast(self):
+        assert np.array_equal(interpolant_from_function(lambda x: 2.0).coeffs, [2.0])
+        p = interpolant_from_function(lambda x: 2.0, UNIT, n=4)
+        assert np.array_equal(p.coeffs, [2.0, 0.0, 0.0, 0.0, 0.0])
+
+    def test_rejects_result_of_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(3,\) for 9 points"):
+            interpolant_from_function(lambda x: np.ones(3))
+        with pytest.raises(ValueError, match=r"shape \(5, 1\) for 5 points"):
+            interpolant_from_function(lambda x: x[:, None], UNIT, n=4)
 
     def test_fixed_degree(self):
         p = interpolant_from_function(np.exp, UNIT, n=12)

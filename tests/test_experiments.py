@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chebsig import experiments as exp
-from chebsig.cheb import evaluate, interpolant_from_values
+from chebsig.cheb import evaluate, interpolant_from_values, min_and_max
 from chebsig.report import ExperimentReport, format_float, write_report
 
 
@@ -16,8 +16,7 @@ class TestRandom:
         assert len(r.get_series("dense")) == 2001
 
     def test_zero_values_override(self):
-        r = exp.run_random(2, seed=0, values=[0.0, 0.0])
-        assert r.scalars["min"] == 0.0 and r.scalars["max"] == 0.0
+        assert min_and_max(interpolant_from_values([0.0, 0.0])) == (0.0, 0.0)
 
     def test_minmax_against_dense_scan(self):
         r = exp.run_random(10, seed=42)
@@ -39,8 +38,16 @@ class TestRandom:
 
 
 @pytest.fixture(scope="module")
-def converge_report():
-    return exp.run_converge()
+def converge_report(run_all_twice):
+    """The converge report as run-all wrote it; the 17-digit CSV fields parse
+    back to the computed floats bit for bit."""
+    out = run_all_twice[0] / "converge"
+    payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    header, *rows = (out / "errors.csv").read_text(encoding="utf-8").splitlines()
+    columns = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    report = ExperimentReport("converge", scalars=payload["scalars"])
+    report.add_series("errors", dict(zip(header.split(","), columns)))
+    return report
 
 
 class TestConverge:
@@ -300,7 +307,7 @@ class TestReportWriter:
             r.add_series("bad", {"x": [np.inf]})
 
     def test_svg_emitted(self, tmp_path):
-        exp.run_scale(out_dir=tmp_path, svg=True)
+        write_report(exp.run_scale(), tmp_path, svg=True)
         svgs = list((tmp_path / "scale").glob("*.svg"))
         assert svgs
         assert svgs[0].read_text().startswith("<svg")

@@ -116,13 +116,11 @@ class TestCompareNodes:
 
 class TestMeanDistance:
     def test_two_points(self):
-        prof = mean_distance([-1.0, 1.0])
-        assert np.array_equal(prof.gm_distance, [2.0, 2.0])
+        assert np.array_equal(mean_distance([-1.0, 1.0]), [2.0, 2.0])
 
     def test_three_points(self):
-        prof = mean_distance([-1.0, 0.0, 1.0])
         assert np.allclose(
-            prof.gm_distance, [math.sqrt(2), 1.0, math.sqrt(2)], rtol=1e-15
+            mean_distance([-1.0, 0.0, 1.0]), [math.sqrt(2), 1.0, math.sqrt(2)], rtol=1e-15
         )
 
     def test_rejects_duplicates(self):
@@ -130,19 +128,19 @@ class TestMeanDistance:
             mean_distance([0.0, 1.0, 1.0])
 
     def test_cheb_and_legendre_profiles_agree(self):
-        cheb = mean_distance(cheb_points_second_kind(19).points).gm_distance
-        leg = mean_distance(legendre_points(20).points).gm_distance
+        cheb = mean_distance(cheb_points_second_kind(19).points)
+        leg = mean_distance(legendre_points(20).points)
         rel = np.abs(np.sort(cheb) - np.sort(leg)) / np.sort(leg)
         assert np.max(rel) < 0.15
 
     def test_clustered_families_are_flatter_than_uniform(self):
         for pts in (cheb_points_second_kind(19).points, legendre_points(20).points):
-            prof = mean_distance(pts).gm_distance
-            uni = mean_distance(np.linspace(-1, 1, 20)).gm_distance
+            prof = mean_distance(pts)
+            uni = mean_distance(np.linspace(-1, 1, 20))
             assert prof.max() / prof.min() < uni.max() / uni.min()
 
     def test_converges_to_logarithmic_capacity(self):
-        prof = mean_distance(cheb_points_second_kind(199).points).gm_distance
+        prof = mean_distance(cheb_points_second_kind(199).points)
         assert abs(prof.mean() / 0.5 - 1.0) < 0.10
 
 

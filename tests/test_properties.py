@@ -115,12 +115,15 @@ def test_linspace_step_is_derived(span, start_in_spans, n):
        st.sampled_from([cheb_points_first_kind, cheb_points_second_kind]))
 def test_nodes_on_two_decimal_domains(a, width, n, kind):
     # Mapped nodes stay inside [a, b]; clipping moves only those that
-    # from_unit rounded outside it.
+    # from_unit rounded outside it, and second-kind end nodes are a and b.
     dom = Domain(a / 100, (a + width) / 100)
     pts = kind(n, dom).points
     raw = dom.from_unit(kind(n).points)
     assert dom.a <= pts[0] and pts[-1] <= dom.b
     inside = (dom.a <= raw) & (raw <= dom.b)
+    if kind is cheb_points_second_kind:
+        assert pts[0] == dom.a and pts[-1] == dom.b
+        inside[[0, -1]] = False
     assert np.array_equal(pts[inside], raw[inside])
 
 
@@ -149,9 +152,9 @@ def test_trig_interpolation_exact_at_samples(n, seed):
 def test_mean_distance_positive_and_order_free(raw):
     pts = np.array(sorted(raw), dtype=float) * 1e-3
     prof = mean_distance(pts)
-    assert np.all(prof.gm_distance > 0)
+    assert np.all(prof > 0)
     shuffled = mean_distance(pts[::-1])
-    assert np.allclose(np.sort(prof.gm_distance), np.sort(shuffled.gm_distance))
+    assert np.allclose(np.sort(prof), np.sort(shuffled))
 
 
 @settings(deadline=None, max_examples=40)

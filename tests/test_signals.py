@@ -10,7 +10,6 @@ from chebsig.signals import (
     add_noise,
     gamma_variate,
     moving_average,
-    peak_metrics,
     uneven_grid,
 )
 
@@ -198,17 +197,3 @@ class TestMovingAverage:
             rms_filt = np.sqrt(np.mean((filtered.y - clean.y) ** 2))
             wins += rms_filt < rms_raw
         assert wins >= 18
-
-
-class TestPeakMetrics:
-    def test_identical(self):
-        s = Signal([0.0, 1.0], [1.0, 5.0])
-        m = peak_metrics(s, s)
-        assert m.abs_gap == 0.0
-
-    def test_gap(self):
-        a = Signal([0.0, 1.0], [0.0, 1.0])
-        b = Signal([0.0, 1.0], [0.0, 1.5])
-        m = peak_metrics(a, b)
-        assert m == (1.0, 1.5, 0.5)
-
