@@ -41,7 +41,6 @@ from .conditioning import (
     singular_values,
 )
 from .fourier import (
-    SpectrumReport,
     UnevenSpacingError,
     amplitude_spectrum,
     resample_spectral,

@@ -267,8 +267,6 @@ def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
     into an even sequence of length 2n and pushed through a real FFT.
     """
     n = values.size - 1
-    if n == 0:
-        return values.astype(float)
     g = values[::-1]  # reorder to cos(m*pi/n) sampling, m = 0..n
     ext = np.concatenate([g, g[-2:0:-1]])
     spec = np.fft.rfft(ext)
@@ -473,7 +471,7 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
 
     Uses the closed-form weights (-1)^j, halved at the two endpoints.  When
     a query point coincides with a node the stored value is returned
-    bit-exactly; non-finite query points raise ValueError.
+    bit-exactly; non-finite query points or values raise ValueError.
 
     Parameters
     ----------
@@ -499,20 +497,22 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     xq = np.asarray(x, dtype=float)
     scalar = xq.ndim == 0
     xq = np.atleast_1d(xq)
-    diff = xq[:, None] - pts[None, :]
-    exact_q, exact_n = np.nonzero(diff == 0.0)
+    ratio = xq[:, None] - pts
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = w / diff
+        np.divide(w, ratio, out=ratio)
         out = (ratio @ v) / np.sum(ratio, axis=1)
-    out[exact_q] = v[exact_n]
-    # Queries merely ulps away from a node overflow w/diff; the limit is
-    # the node value, so snap to the nearest one.  A non-finite query also
-    # gives a non-finite quotient, so it is caught here, off the common path.
+    # A query on a node, or ulps away from one, puts an infinite w/diff in
+    # its row, so its quotient is NaN; the limit is the node value, so snap
+    # to the nearest node (at distance 0 for an exact hit).  A non-finite
+    # query or value also gives a non-finite quotient, so both are caught
+    # here, off the common path.
     bad = np.nonzero(~np.isfinite(out))[0]
     if bad.size:
         if not np.all(np.isfinite(xq[bad])):
             raise ValueError("points must be finite")
-        out[bad] = v[np.argmin(np.abs(diff[bad]), axis=1)]
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite")
+        out[bad] = v[np.argmin(np.abs(xq[bad, None] - pts), axis=1)]
     return float(out[0]) if scalar else out
 
 

@@ -57,25 +57,16 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
     return w
 
 
-def build_basis_matrix(
-    basis: Basis,
-    domain: Domain,
-    max_degree: int,
-    grid_size: int = DEFAULT_GRID,
-) -> np.ndarray:
+def build_basis_matrix(basis: Basis, domain: Domain, max_degree: int) -> np.ndarray:
     """Assemble the weighted sample matrix for degrees 0..max_degree: one
     column per degree, sqrt-weight scaled, one row per grid point.
 
-    grid_size must be at least 4*(max_degree+1) so the quadrature resolves
-    every column product.
+    The grid has max(DEFAULT_GRID, 4*(max_degree+1)) points, enough for the
+    quadrature to resolve every column product.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if grid_size < 4 * (max_degree + 1):
-        raise ValueError(
-            f"grid_size {grid_size} below resolution guard "
-            f"{4 * (max_degree + 1)} for max_degree {max_degree}"
-        )
+    grid_size = max(DEFAULT_GRID, 4 * (max_degree + 1))
     nodes = cheb_points_second_kind(grid_size - 1, domain)
     x = nodes.points
     weights = clenshaw_curtis_weights(grid_size - 1) * (domain.width / 2.0)
@@ -109,18 +100,11 @@ def condition_number(m: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
-def conditioning_sweep(
-    basis: Basis,
-    domain: Domain,
-    n_max: int,
-    grid_size: int | None = None,
-) -> np.ndarray:
+def conditioning_sweep(basis: Basis, domain: Domain, n_max: int) -> np.ndarray:
     """Condition number of the degree 0..n truncations for n = 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if grid_size is None:
-        grid_size = max(DEFAULT_GRID, 4 * (n_max + 1))
-    full = build_basis_matrix(basis, domain, n_max, grid_size)
+    full = build_basis_matrix(basis, domain, n_max)
     out = np.empty(n_max + 1)
     for n in range(n_max + 1):
         out[n] = condition_number(full[:, : n + 1])

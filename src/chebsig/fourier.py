@@ -10,20 +10,18 @@ meaningless for one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .signals import Signal
 
 __all__ = [
-    "SpectrumReport",
     "UnevenSpacingError",
     "resample_spectral",
     "trig_cardinal",
     "trig_interpolate",
     "amplitude_spectrum",
 ]
+
 
 class UnevenSpacingError(ValueError):
     """Raised when trigonometric interpolation is asked for uneven nodes."""
@@ -36,31 +34,6 @@ def _even_step(signal: Signal) -> float:
             "requires an equally spaced sample grid"
         )
     return signal.step
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """DFT magnitudes of a uniform signal on the 0 .. (N-1)/(N*step) axis."""
-
-    frequencies: np.ndarray
-    amplitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        a = np.asarray(self.amplitudes, dtype=float)
-        p = np.asarray(self.phases, dtype=float)
-        if not (f.size == a.size == p.size):
-            raise ValueError("frequency/amplitude/phase lengths differ")
-        if np.any(a < 0):
-            raise ValueError("amplitudes must be non-negative")
-        for arr, name in ((f, "frequencies"), (a, "amplitudes"), (p, "phases")):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.frequencies.size
 
 
 def resample_spectral(signal: Signal, new_count: int) -> Signal:
@@ -135,26 +108,31 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     ------
     UnevenSpacingError
         If sample_x is not uniformly spaced to within ``signals.EVEN_RTOL``.
+    ValueError
+        If a query point is not finite.
     """
     samples = Signal(sample_x, sample_y)
     step = _even_step(samples)
     xs, ys, n = samples.t, samples.y, len(samples)
     xq = np.asarray(query_x, dtype=float)
+    if not np.all(np.isfinite(xq)):
+        raise ValueError("points must be finite")
     scale = step / (2.0 / n)
     xs_u = xs / scale
     xq_u = np.atleast_1d(xq) / scale
     out = np.zeros(xq_u.shape)
     for k in range(n):
         out += ys[k] * trig_cardinal(xq_u - xs_u[k], n)
-    return out if np.asarray(query_x).ndim else float(out[0])
+    return out if xq.ndim else float(out[0])
 
 
-def amplitude_spectrum(signal: Signal) -> SpectrumReport:
-    """DFT magnitudes/phases with frequencies k/(N*step), k = 0..N-1."""
+def amplitude_spectrum(signal: Signal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DFT ``(frequencies, amplitudes, phases)``: frequencies k/(N*step) for
+    k = 0..N-1, amplitudes |X_k| and phases arg X_k in (-pi, pi]."""
     step = _even_step(signal)
     n = len(signal)
     spec = np.fft.fft(signal.y)
     freqs = np.arange(n) / (n * step)
     phases = np.angle(spec)
     phases[phases <= -np.pi] += 2 * np.pi  # keep within (-pi, pi]
-    return SpectrumReport(freqs, np.abs(spec), phases)
+    return freqs, np.abs(spec), phases

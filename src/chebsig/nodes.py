@@ -44,8 +44,6 @@ def legendre_points(count: int) -> NodeSet:
     """
     if count < 1:
         raise ValueError("legendre_points requires count >= 1")
-    if count == 1:
-        return NodeSet(NodeKind.LEGENDRE, np.zeros(1), UNIT_DOMAIN)
     k = np.arange(1, count + 1)
     x = np.cos(np.pi * (4 * k - 1) / (4 * count + 2))
     for _ in range(_NEWTON_SWEEPS):
@@ -87,13 +85,13 @@ def mean_distance(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("need at least 2 points")
-    diff = np.abs(pts[:, None] - pts[None, :])
-    off_diag = ~np.eye(pts.size, dtype=bool)
-    if np.any(diff[off_diag] == 0.0):
+    diff = pts[:, None] - pts
+    np.abs(diff, out=diff)
+    np.fill_diagonal(diff, 1.0)  # log 1 = 0 leaves the self-distance out
+    if np.any(diff == 0.0):
         raise ValueError("points must be distinct")
-    logs = np.zeros_like(diff)
-    np.log(diff, where=off_diag, out=logs)
-    return np.exp(logs.sum(axis=1) / (pts.size - 1))
+    np.log(diff, out=diff)
+    return np.exp(diff.sum(axis=1) / (pts.size - 1))
 
 
 def smallest_nonzero_midpoint() -> int:

@@ -361,6 +361,15 @@ class TestBarycentric:
         with pytest.raises(ValueError, match="points must be finite"):
             evaluate_barycentric(np.arange(5.0), nodes, [0.0, bad])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_values(self, bad):
+        # Off-node queries would otherwise snap to some node's value.
+        nodes = cheb_points_second_kind(2)
+        with pytest.raises(ValueError, match="values must be finite"):
+            evaluate_barycentric([1.0, bad, 3.0], nodes, [0.9, -0.5])
+        with pytest.raises(ValueError, match="values must be finite"):
+            evaluate_barycentric([1.0, bad, 3.0], nodes, nodes.points[0])
+
     def test_query_ulps_from_node_stays_finite(self):
         # Subnormal distance to a node overflows the weights; the result
         # must snap to the node value instead of going NaN.

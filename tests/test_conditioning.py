@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chebsig import conditioning
 from chebsig.cheb import Domain
 from chebsig.conditioning import (
     Basis,
@@ -31,16 +32,12 @@ class TestWeights:
 
 class TestBuildBasisMatrix:
     def test_constant_column_norm(self):
-        m = build_basis_matrix(Basis.CHEBYSHEV, UNIT, 0, 64)
+        m = build_basis_matrix(Basis.CHEBYSHEV, UNIT, 0)
         assert np.sum(m[:, 0] ** 2) == pytest.approx(2.0, abs=1e-10)
 
     def test_linear_monomial_column_norm(self):
-        m = build_basis_matrix(Basis.MONOMIAL, UNIT, 1, 64)
+        m = build_basis_matrix(Basis.MONOMIAL, UNIT, 1)
         assert np.sum(m[:, 1] ** 2) == pytest.approx(2 / 3, abs=1e-10)
-
-    def test_resolution_guard(self):
-        with pytest.raises(ValueError):
-            build_basis_matrix(Basis.CHEBYSHEV, UNIT, 10, 43)
 
 
 class TestSingularValues:
@@ -120,8 +117,9 @@ class TestConditioningSweep:
         assert unit[0] == pytest.approx(sym[0])
         assert np.all(unit[1:] > sym[1:])
 
-    def test_grid_refinement_stability(self):
+    def test_grid_refinement_stability(self, monkeypatch):
+        fine = {basis: conditioning_sweep(basis, UNIT, 10) for basis in Basis}
+        monkeypatch.setattr(conditioning, "DEFAULT_GRID", 512)
         for basis in Basis:
-            coarse = conditioning_sweep(basis, UNIT, 10, grid_size=512)
-            fine = conditioning_sweep(basis, UNIT, 10, grid_size=1024)
-            assert np.max(np.abs(fine - coarse) / fine) < 1e-3
+            coarse = conditioning_sweep(basis, UNIT, 10)
+            assert np.max(np.abs(fine[basis] - coarse) / fine[basis]) < 1e-3

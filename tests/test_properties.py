@@ -92,9 +92,9 @@ def test_dft_round_trip_any_length(n):
 def test_parseval(n):
     rng = np.random.default_rng(n + 7)
     v = rng.standard_normal(n)
-    spec = amplitude_spectrum(Signal(np.arange(n, dtype=float), v))
+    _, amps, _ = amplitude_spectrum(Signal(np.arange(n, dtype=float), v))
     lhs = np.sum(v ** 2)
-    rhs = np.sum(spec.amplitudes ** 2) / n
+    rhs = np.sum(amps ** 2) / n
     assert abs(lhs - rhs) <= 1e-9 * max(lhs, 1.0)
 
 
@@ -264,3 +264,93 @@ def test_chop_point_matches_scalar_walk(n, seed, tail, log10_tol):
             level = 10.0 ** rng.uniform(-17.0, -5.0)
             coeffs += level * rng.standard_normal(n)
     assert _chop_point(coeffs, tol) == _scalar_chop_point(coeffs, tol)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _textbook_barycentric(values, nodes, x):
+    """Second-kind barycentric interpolation with an explicit exact-node scan
+    and separate diff and w/diff matrices: the bit-identity reference for
+    evaluate_barycentric (Berrut & Trefethen 2004)."""
+    v, pts = np.asarray(values, dtype=float), nodes.points
+    w = np.ones(pts.size)
+    w[1::2] = -1.0
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    xq = np.asarray(x, dtype=float)
+    scalar = xq.ndim == 0
+    xq = np.atleast_1d(xq)
+    diff = xq[:, None] - pts[None, :]
+    exact_q, exact_n = np.nonzero(diff == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = w / diff
+        out = (ratio @ v) / np.sum(ratio, axis=1)
+    out[exact_q] = v[exact_n]
+    bad = np.nonzero(~np.isfinite(out))[0]
+    out[bad] = v[np.argmin(np.abs(diff[bad]), axis=1)]
+    return float(out[0]) if scalar else out
+
+
+_SUBNORMALS = np.array([5e-324, -5e-324, 2.2250738585e-313, -1e-310])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=1, max_value=299),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.booleans(),
+       st.sampled_from(["on", "next", "inside", "outside", "subnormal", "mix"]),
+       st.booleans())
+def test_barycentric_is_bit_identical_to_textbook_form(n, seed, unit, where, scalar):
+    rng = np.random.default_rng(seed)
+    if unit:
+        dom = Domain(-1.0, 1.0)
+    else:
+        a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 2.0)
+        dom = Domain(a, a + 10.0 ** rng.uniform(-6.0, 2.0))
+    nodes = cheb_points_second_kind(n, dom)
+    pts = nodes.points
+    v = rng.standard_normal(n + 1)
+    pick = rng.integers(0, n + 1, 16)
+    queries = {
+        "on": pts[pick],
+        "next": np.nextafter(pts[pick], np.where(pick % 2, np.inf, -np.inf)),
+        "inside": dom.from_unit(rng.uniform(-1.0, 1.0, 16)),
+        "outside": dom.from_unit(np.sign(rng.uniform(-1.0, 1.0, 16)) * rng.uniform(1.0, 1.5, 16)),
+        # offsets from a node at 0.0 (odd counts on symmetric domains)
+        "subnormal": _SUBNORMALS,
+    }
+    queries["mix"] = np.concatenate(list(queries.values()))
+    x = queries[where]
+    if scalar:
+        x = float(x[0])
+    got, want = evaluate_barycentric(v, nodes, x), _textbook_barycentric(v, nodes, x)
+    assert type(got) is type(want)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _textbook_mean_distance(points):
+    """The diagonal masked out of the log-distance matrix: the bit-identity
+    reference for mean_distance."""
+    pts = np.asarray(points, dtype=float)
+    diff = np.abs(pts[:, None] - pts[None, :])
+    off_diag = ~np.eye(pts.size, dtype=bool)
+    logs = np.zeros_like(diff)
+    np.log(diff, where=off_diag, out=logs)
+    return np.exp(logs.sum(axis=1) / (pts.size - 1))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=2, max_value=400),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(["cheb", "first", "random", "shuffled"]))
+def test_mean_distance_is_bit_identical_to_masked_form(count, seed, kind):
+    rng = np.random.default_rng(seed)
+    pts = {
+        "cheb": lambda: cheb_points_second_kind(count - 1).points,
+        "first": lambda: cheb_points_first_kind(count).points,
+        "random": lambda: np.unique(rng.uniform(-1e3, 1e3, count)),
+        "shuffled": lambda: rng.permutation(np.unique(rng.uniform(-1.0, 1.0, count))),
+    }[kind]()
+    assert np.array_equal(_bits(mean_distance(pts)), _bits(_textbook_mean_distance(pts)))
