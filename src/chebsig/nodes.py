@@ -80,11 +80,16 @@ def mean_distance(points) -> np.ndarray:
     Entry j is (prod_{i != j} |x_j - x_i|)^(1/(count-1)); the zero
     self-distance is excluded, otherwise every entry would vanish.
     Computed through logarithms so large point sets neither overflow nor
-    underflow the product.
+    underflow the product.  Non-finite points, or finite ones whose span
+    overflows, raise ValueError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("need at least 2 points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    if not math.isfinite(float(pts.max()) - float(pts.min())):
+        raise ValueError("the span of the points overflows")
     diff = pts[:, None] - pts
     np.abs(diff, out=diff)
     np.fill_diagonal(diff, 1.0)  # log 1 = 0 leaves the self-distance out

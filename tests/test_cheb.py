@@ -381,6 +381,21 @@ class TestBarycentric:
         assert np.isfinite(out)
         assert out == pytest.approx(9.0, abs=1e-11)
 
+    def test_overflowing_sum_is_rescaled_not_snapped(self):
+        # Each w_j v_j is +1e308 (or half that), so ratio @ v overflows
+        # although the interpolant stays below 1e308.
+        v = np.array([1e308, -1e308, 1e308, -1e308, 1e308])
+        nodes = cheb_points_second_kind(4)
+        x = np.array([0.3, 0.1])
+        want = evaluate(interpolant_from_values(v * 1e-10), x) * 1e10
+        got = evaluate_barycentric(v, nodes, x)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        assert evaluate_barycentric(v, nodes, 0.3) == got[0]
+        # Node hits with the same values still return the node value.
+        for j in range(5):
+            assert evaluate_barycentric(v, nodes, nodes.points[j]) == v[j]
+        assert evaluate_barycentric(v, nodes, 5e-324) == v[2]
+
 
 class TestDerivative:
     def test_t1_becomes_constant(self):

@@ -127,6 +127,17 @@ class TestMeanDistance:
         with pytest.raises(ValueError):
             mean_distance([0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            mean_distance([0.0, 1.0, bad])
+        with pytest.raises(ValueError, match="points must be finite"):
+            mean_distance([0.0, bad, 2.0])
+
+    def test_rejects_overflowing_span(self):
+        with pytest.raises(ValueError, match="span of the points overflows"):
+            mean_distance([-1e308, 0.0, 1e308])
+
     def test_cheb_and_legendre_profiles_agree(self):
         cheb = mean_distance(cheb_points_second_kind(19).points)
         leg = mean_distance(legendre_points(20).points)

@@ -1,10 +1,13 @@
 """Randomized property tests for the library invariants."""
 
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from chebsig import cheb
 from chebsig.cheb import (
     ChebInterpolant,
     Domain,
@@ -264,6 +267,67 @@ def test_chop_point_matches_scalar_walk(n, seed, tail, log10_tol):
             level = 10.0 ** rng.uniform(-17.0, -5.0)
             coeffs += level * rng.standard_normal(n)
     assert _chop_point(coeffs, tol) == _scalar_chop_point(coeffs, tol)
+
+
+def _near_tie_cases(tol, count):
+    """(e1, e2) pairs whose plateau decision e2 / e1 > r flips with the log
+    used for r: np.log(e1) differs from math.log(e1) in the last bit, and
+    e2 is nudged by nextafter into the gap between the two r."""
+    rng = np.random.default_rng(8)
+    e1 = 10.0 ** rng.uniform(-11.0, -10.55, 400_000)
+    r_np = 3.0 * (1.0 - np.log(e1) / math.log(tol))
+    r_math = 3.0 * (1.0 - np.fromiter(map(math.log, e1), float, e1.size) / math.log(tol))
+    cases = []
+    for k in np.flatnonzero(r_np != r_math):
+        e2 = np.nextafter(e1[k] * r_math[k], 0.0)
+        for _ in range(16):
+            q = e2 / e1[k]
+            if (q > r_math[k]) != (q > r_np[k]) and q != r_np[k]:
+                cases.append((float(e1[k]), float(e2), bool(q > r_math[k])))
+                break
+            e2 = np.nextafter(e2, 1.0)
+        if len(cases) == count:
+            break
+    return cases
+
+
+def test_chop_point_rechecks_near_ties_with_math_log():
+    # The envelope 1, e1 (x6), e2, then a tail decaying well inside every
+    # later ratio test: the first test, e2 / e1 > r(e1), decides the cut.
+    # If it passes the plateau starts at once and the series is cut to 1;
+    # if not, no test passes and the series is unresolved (17).
+    tol = 2.0 ** -52
+    cases = _near_tie_cases(tol, 12)
+    if not cases:
+        pytest.skip("np.log agrees with math.log on every candidate here")
+    for e1, e2, passes in cases:
+        coeffs = np.empty(17)
+        coeffs[0] = 1.0
+        coeffs[1:7] = e1
+        coeffs[7] = e2
+        coeffs[8:] = 0.25 * e1 * 0.8 ** np.arange(9)
+        want = 1 if passes else 17
+        assert _scalar_chop_point(coeffs, tol) == want
+        assert _chop_point(coeffs, tol) == want
+
+
+def test_chop_point_matches_scalar_walk_on_an_adaptive_round(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    seen = []
+
+    def record(coeffs, tol):
+        seen.append((coeffs.copy(), tol))
+        return _chop_point(coeffs, tol)
+
+    monkeypatch.setattr(cheb, "_chop_point", record)
+    for op in workloads.Adaptive(0).ops(0):
+        op()
+    assert len(seen) > 900
+    mismatched = [i for i, (c, tol) in enumerate(seen)
+                  if _chop_point(c, tol) != _scalar_chop_point(c, tol)]
+    assert mismatched == []
 
 
 def _bits(a):
