@@ -4,12 +4,13 @@ The central object is :class:`ChebInterpolant`, a Chebyshev series stored as
 an ascending coefficient vector ``a_0 ... a_n`` together with its domain.
 Construction from values at second-kind nodes goes through a fast cosine
 transform (a length-2n real FFT of the even extension); evaluation uses the
-Clenshaw recurrence.  A barycentric evaluation path on raw node values is
-provided as an independent route and is exact at the nodes.
+Clenshaw recurrence.  Barycentric evaluation on raw node values is a second
+route inside [a, b], exact at the nodes, and Clenshaw outside it.
 
 Points outside the domain are accepted by all evaluation routines and give
 polynomial extrapolation, which diverges rapidly away from [a, b]; callers
-that need in-domain semantics must clip themselves.
+that need in-domain semantics must clip themselves.  Values that overflow
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -452,36 +453,43 @@ def evaluate(p: ChebInterpolant, x):
     """Evaluate the series by the Clenshaw recurrence.
 
     Scalar in, float out; array in, array out.  Points outside the domain
-    extrapolate; non-finite points raise ValueError.  The recurrence runs
-    in place in three preallocated buffers with ``2 s`` computed once, and
-    rounds every element exactly as the textbook form
-    ``b1, b2 = 2.0 * s * b1 - b2 + c[k], b1`` does, so the results have
-    the same bits.
+    extrapolate; non-finite points and overflowing values raise ValueError.
+    The recurrence runs in place in three preallocated buffers with ``2 s``
+    computed once, and rounds every element exactly as the textbook form
+    ``b1, b2 = 2.0 * s * b1 - b2 + c[k], b1`` does, so the results have the
+    same bits.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("points must be finite")
-    s = p.domain.to_unit(x)
     c = p.coeffs
-    s2 = 2.0 * s
-    b1 = np.zeros_like(s)
-    b2 = np.zeros_like(s)
-    t = np.empty_like(s)
-    for k in range(c.size - 1, 0, -1):
-        np.multiply(s2, b1, out=t)
-        t -= b2
-        t += c[k]
-        b1, b2, t = t, b1, b2
-    out = s * b1 - b2 + c[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = p.domain.to_unit(x)
+        s2 = 2.0 * s
+        b1 = np.zeros_like(s)
+        b2 = np.zeros_like(s)
+        t = np.empty_like(s)
+        for k in range(c.size - 1, 0, -1):
+            np.multiply(s2, b1, out=t)
+            t -= b2
+            t += c[k]
+            b1, b2, t = t, b1, b2
+        out = s * b1 - b2 + c[0]
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the series value overflows")
     return out if out.ndim else float(out)
 
 
 def evaluate_barycentric(values, nodes: NodeSet, x):
-    """Barycentric interpolation through values at second-kind points.
+    """Interpolation through values at second-kind points, one rule per query.
 
-    Uses the closed-form weights (-1)^j, halved at the two endpoints.  When
-    a query point coincides with a node the stored value is returned
-    bit-exactly; non-finite query points or values raise ValueError.
+    Inside [a, b]: the second barycentric form with weights (-1)^j, halved
+    at the two endpoints; a query whose sum of weight quotients is not
+    finite (on a node, or ulps from one) gets its nearest node's value,
+    bit-exactly on a node.  Outside [a, b], where that sum cancels (Webb,
+    Trefethen & Gonnet 2012): Clenshaw on ``interpolant_from_values(values,
+    domain)``, the same polynomial.  Non-finite points or values, and
+    overflowing values, raise ValueError.
 
     Parameters
     ----------
@@ -495,45 +503,37 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     v = np.asarray(values, dtype=float)
     if nodes.kind is not NodeKind.CHEB_SECOND:
         raise ValueError("barycentric weights here assume second-kind nodes")
-    pts = nodes.points
+    pts, dom = nodes.points, nodes.domain
     if v.shape != pts.shape:
         raise ValueError(f"got {v.size} values for {pts.size} nodes")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    xq = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xq)):
+        raise ValueError("points must be finite")
+    scalar = xq.ndim == 0
+    xq = np.atleast_1d(xq)
 
     w = np.ones(pts.size)
     w[1::2] = -1.0
     w[0] *= 0.5
     w[-1] *= 0.5
-
-    xq = np.asarray(x, dtype=float)
-    scalar = xq.ndim == 0
-    xq = np.atleast_1d(xq)
+    # Scaling v by an exact power of two to max|v| < 1 keeps ratio @ v
+    # finite where den is.  Outside rows stay in the one matrix, because
+    # the BLAS product can round a row differently when the row count changes.
+    _, e = np.frexp(np.max(np.abs(v)))
     ratio = xq[:, None] - pts
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(w, ratio, out=ratio)
         den = np.sum(ratio, axis=1)
-        out = (ratio @ v) / den
-    # Every non-finite quotient is handled here, off the common path.  A
-    # non-finite query or value raises.  A query on a node, or ulps away
-    # from one, puts an infinite w/diff in its row or overflows its sum;
-    # the limit is the node value, so snap to the nearest node (at distance
-    # 0 for an exact hit).  Rows whose sum cancels to 0, which happens just
-    # outside the domain (x = 1.4 at n = 44), snap too.  In the remaining
-    # rows only ratio @ v overflowed: redo them with v scaled by an exact
-    # power of two so that max|v| < 1.
-    bad = np.nonzero(~np.isfinite(out))[0]
-    if bad.size:
-        if not np.all(np.isfinite(xq[bad])):
-            raise ValueError("points must be finite")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        d = den[bad]
-        hit = np.isinf(ratio[bad]).any(axis=1) | ~np.isfinite(d) | (d == 0.0)
-        snap, over = bad[hit], bad[~hit]
-        out[snap] = v[np.argmin(np.abs(xq[snap, None] - pts), axis=1)]
-        if over.size:
-            _, e = np.frexp(np.max(np.abs(v)))
-            with np.errstate(over="ignore"):
-                out[over] = np.ldexp((ratio[over] @ np.ldexp(v, -e)) / den[over], e)
+        out = np.ldexp((ratio @ np.ldexp(v, -e)) / den, e)
+    inside = (xq >= dom.a) & (xq <= dom.b)
+    snap = inside & ~np.isfinite(den)
+    out[snap] = v[np.argmin(np.abs(xq[snap, None] - pts), axis=1)]
+    if not np.all(np.isfinite(out[inside])):
+        raise ValueError("the interpolant value overflows")
+    if not np.all(inside):
+        out[~inside] = evaluate(interpolant_from_values(v, dom), xq[~inside])
     return float(out[0]) if scalar else out
 
 

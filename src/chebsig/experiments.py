@@ -344,8 +344,8 @@ def run_gamma(
     cheb_nodes = cheb_points_second_kind(GAMMA_SAMPLES - 1, GAMMA_DOMAIN)
     if cheb_fit == "node-values":
         p = interpolant_from_values(observed.y, GAMMA_DOMAIN)
-        # Exact at construction nodes by the coincidence branch; the values
-        # come back associated with the sample grid, as in the figures.
+        # Exact at construction nodes (each snaps to its stored value); the
+        # values come back associated with the sample grid, as in the figures.
         cheb_at_samples = evaluate_barycentric(observed.y, cheb_nodes, cheb_nodes.points)
         node_err = np.max(np.abs(evaluate(p, cheb_nodes.points) - observed.y))
     elif cheb_fit == "resample":

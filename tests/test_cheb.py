@@ -310,6 +310,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="points must be finite"):
             evaluate(p, [0.0, bad])
 
+    def test_overflow_raises(self):
+        # Degree 299 of seeded noise stops being finite from x = 5.46 on.
+        p = interpolant_from_values(np.random.default_rng(0).standard_normal(300))
+        with pytest.raises(ValueError, match="overflows"):
+            evaluate(p, 20.0)
+        with pytest.raises(ValueError, match="overflows"):
+            evaluate(ChebInterpolant([1e308, 1e308], UNIT), 1.0)
+
 
 class TestBarycentric:
     def test_node_coincidence_bit_exact(self):
@@ -395,6 +403,23 @@ class TestBarycentric:
         for j in range(5):
             assert evaluate_barycentric(v, nodes, nodes.points[j]) == v[j]
         assert evaluate_barycentric(v, nodes, 5e-324) == v[2]
+
+    def test_overshooting_values_raise(self):
+        # The interpolant of these values exceeds the float range inside
+        # [-1, 1]; those queries must not come back as -inf.
+        v = 1.7e308 * np.array([1.0, -1.0, -1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="overflows"):
+            evaluate_barycentric(v, cheb_points_second_kind(4), np.linspace(-1, 1, 2001))
+
+    def test_outside_domain_is_clenshaw_extrapolation(self):
+        # Just outside [-1, 1] the barycentric denominator cancels, to
+        # exactly 0 at some of these points; Clenshaw on the same
+        # interpolant is used there instead.
+        v = np.random.default_rng(0).standard_normal(45)
+        x = np.linspace(1.0001, 1.5, 20001)
+        got = evaluate_barycentric(v, cheb_points_second_kind(44), x)
+        want = evaluate(interpolant_from_values(v), x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestDerivative:
