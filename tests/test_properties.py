@@ -419,7 +419,8 @@ def test_barycentric_is_bit_identical_to_textbook_form(n, seed, unit, where, sca
 
 def test_barycentric_mixed_call_keeps_textbook_bits_inside():
     # A row of the BLAS product can round differently when the row count
-    # changes: multiplying only the 7 inside rows here changes 3 of them.
+    # changes: on OpenBLAS 0.3.31 (Haswell kernel), multiplying only the 7
+    # inside rows here changes 3 of them.
     rng = np.random.default_rng(50)
     v = rng.standard_normal(51)
     nodes = cheb_points_second_kind(50)
