@@ -261,6 +261,12 @@ def eval_cheb_poly(k: int, x):
     return t_cur if t_cur.ndim else float(t_cur)
 
 
+def _overflow_scale(v: np.ndarray) -> float:
+    """2^-e, e >= 0, that takes max|v| below 1: exact for normal values, it
+    keeps a linear map's partial sums finite wherever its result is."""
+    return 2.0 ** -max(math.frexp(np.abs(v).max())[1], 0)
+
+
 def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients from values at ascending second-kind points.
 
@@ -268,13 +274,18 @@ def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
     into an even sequence of length 2n and pushed through a real FFT.
     """
     n = values.size - 1
-    g = values[::-1]  # reorder to cos(m*pi/n) sampling, m = 0..n
-    ext = np.concatenate([g, g[-2:0:-1]])
-    spec = np.fft.rfft(ext)
-    coeffs = spec[: n + 1].real / n
+    scale = _overflow_scale(values)
+    ext = np.empty(2 * n)  # samples at cos(m*pi/n), m = 0..2n-1
+    np.multiply(values[::-1], scale, out=ext[: n + 1])
+    np.multiply(values[1:-1], scale, out=ext[n + 1 :])
+    coeffs = np.fft.rfft(ext)[: n + 1].real
     coeffs[0] *= 0.5
     coeffs[n] *= 0.5
-    return coeffs
+    try:
+        with np.errstate(over="raise"):
+            return coeffs / (n * scale)
+    except FloatingPointError:
+        raise ValueError("the series coefficients overflow") from None
 
 
 def interpolant_from_values(values, domain: Domain = UNIT_DOMAIN) -> ChebInterpolant:
@@ -350,12 +361,7 @@ def _chop_point(coeffs: np.ndarray, tol: float) -> int:
         i = live
     else:
         return n
-    plateau_point = i + 1
     j2 = (5 * i + 32) // 4
-
-    if env[plateau_point - 1] == 0.0:
-        return plateau_point
-
     j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
     if j3 < j2:
         j2 = j3 + 1
@@ -397,21 +403,14 @@ def interpolant_from_function(
         nodes = cheb_points_second_kind(n, domain)
         return interpolant_from_values(_sample(f, nodes.points), domain)
 
-    coeffs = None
     for k in range(3, 17):
-        m = 2 ** k
-        nodes = cheb_points_second_kind(m, domain)
+        nodes = cheb_points_second_kind(2 ** k, domain)
         coeffs = _values_to_coeffs(_sample(f, nodes.points))
-        scale = np.max(np.abs(coeffs))
-        if scale == 0.0:
-            return ChebInterpolant(np.zeros(1), domain)
         cut = _chop_point(coeffs, _EPS)
         if cut < coeffs.size:
             return ChebInterpolant(coeffs[:cut], domain)
-    raise UnresolvedFunctionError(
-        "function not resolved on the 65537-point grid",
-        ChebInterpolant(coeffs, domain),
-    )
+    raise UnresolvedFunctionError("function not resolved on the 65537-point grid",
+                                  ChebInterpolant(coeffs, domain))
 
 
 def _sample(f: Callable, points: np.ndarray) -> np.ndarray:
@@ -455,14 +454,15 @@ def evaluate(p: ChebInterpolant, x):
     Scalar in, float out; array in, array out.  Points outside the domain
     extrapolate; non-finite points and overflowing values raise ValueError.
     The recurrence runs in place in three preallocated buffers with ``2 s``
-    computed once, and rounds every element exactly as the textbook form
-    ``b1, b2 = 2.0 * s * b1 - b2 + c[k], b1`` does, so the results have the
-    same bits.
+    computed once, on coefficients scaled by ``_overflow_scale``.  It rounds
+    every element as the textbook form ``b1, b2 = 2.0 * s * b1 - b2 + c[k],
+    b1`` does, so the bits match wherever no partial sum is subnormal.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("points must be finite")
-    c = p.coeffs
+    scale = _overflow_scale(p.coeffs)
+    c = p.coeffs * scale
     with np.errstate(over="ignore", invalid="ignore"):
         s = p.domain.to_unit(x)
         s2 = 2.0 * s
@@ -474,7 +474,7 @@ def evaluate(p: ChebInterpolant, x):
             t -= b2
             t += c[k]
             b1, b2, t = t, b1, b2
-        out = s * b1 - b2 + c[0]
+        out = (s * b1 - b2 + c[0]) / scale
     if not np.all(np.isfinite(out)):
         raise ValueError("the series value overflows")
     return out if out.ndim else float(out)
@@ -518,15 +518,14 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     w[1::2] = -1.0
     w[0] *= 0.5
     w[-1] *= 0.5
-    # Scaling v by an exact power of two to max|v| < 1 keeps ratio @ v
-    # finite where den is.  Outside rows stay in the one matrix, because
-    # the BLAS product can round a row differently when the row count changes.
-    _, e = np.frexp(np.max(np.abs(v)))
+    # v * scale keeps ratio @ v finite where den is.  Outside rows stay in the
+    # matrix: the BLAS product can round a row differently when the row count changes.
+    scale = _overflow_scale(v)
     ratio = xq[:, None] - pts
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(w, ratio, out=ratio)
         den = np.sum(ratio, axis=1)
-        out = np.ldexp((ratio @ np.ldexp(v, -e)) / den, e)
+        out = (ratio @ (v * scale)) / den / scale
     inside = (xq >= dom.a) & (xq <= dom.b)
     snap = inside & ~np.isfinite(den)
     out[snap] = v[np.argmin(np.abs(xq[snap, None] - pts), axis=1)]

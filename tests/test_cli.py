@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from chebsig import experiments as exp
 from chebsig.cli import main
 
 
@@ -77,11 +79,22 @@ def test_run_all_deterministic_csv_bytes(run_all_twice):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
-def test_run_all_check_passes_every_check(run_all_twice):
-    _, _, codes, stdout = run_all_twice
-    assert codes[1] == 0
-    assert sum(line.startswith("PASS") for line in stdout.splitlines()) == 38
-    assert "FAIL" not in stdout
+@pytest.mark.parametrize("label", [check.label for e in exp.EXPERIMENTS.values()
+                                   for check in e.checks])
+def test_golden_check(run_all_twice, label):
+    # --check prints "PASS  <label>" or "FAIL  <label>", then "  (<detail>)" if any.
+    mine = [line for line in run_all_twice[3].splitlines() if line.split("  ")[1:2] == [label]]
+    assert [line.split("  ")[0] for line in mine] == ["PASS"], mine
+
+
+def test_failing_check_exits_one(monkeypatch, capsys):
+    failing = exp.Check("scale: deliberately out of bounds", "scale.max_err_full", "<", 0.0)
+    monkeypatch.setitem(exp.EXPERIMENTS, "scale",
+                        dataclasses.replace(exp.EXPERIMENTS["scale"], checks=(failing,)))
+    assert main(["scale", "--check"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL  scale: deliberately out of bounds  (" in out
+    assert "chebsig: 1 check(s) failed" in err
 
 
 def _report_json_digest(path):

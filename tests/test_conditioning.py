@@ -69,20 +69,6 @@ class TestSingularValues:
 
 
 class TestConditionNumber:
-    def test_chebyshev_basis(self):
-        cond = condition_number(build_basis_matrix(Basis.CHEBYSHEV, UNIT, 10))
-        assert cond == pytest.approx(3.7126, rel=1e-2)
-
-    def test_monomials_symmetric_interval(self):
-        cond = condition_number(build_basis_matrix(Basis.MONOMIAL, UNIT, 10))
-        assert cond == pytest.approx(3.073e3, rel=2e-2)
-
-    def test_monomials_unit_interval(self):
-        cond = condition_number(
-            build_basis_matrix(Basis.MONOMIAL, Domain(0.0, 1.0), 10)
-        )
-        assert cond == pytest.approx(2.2871e7, rel=5e-2)
-
     def test_numerically_singular_rejected(self):
         entries = np.zeros((8, 2))
         entries[:, 0] = 1.0
@@ -109,7 +95,6 @@ class TestConditioningSweep:
     def test_monomial_growth(self):
         sweep = conditioning_sweep(Basis.MONOMIAL, UNIT, 10)
         assert np.all(np.diff(sweep) >= 0)
-        assert sweep[-1] == pytest.approx(3.073e3, rel=2e-2)
 
     def test_unit_interval_monomials_worse(self):
         sym = conditioning_sweep(Basis.MONOMIAL, UNIT, 10)

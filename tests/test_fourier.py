@@ -53,7 +53,7 @@ class TestDft:
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n)
         back = resample_spectral(unit_grid(v), n).y
-        assert np.max(np.abs(back - v)) < 1e-12 * np.max(np.abs(v))
+        assert np.max(np.abs(back - v)) < 1e-12 * min(1.0, np.max(np.abs(v)))
 
     def test_large_round_trip(self):
         rng = np.random.default_rng(9)
@@ -129,7 +129,7 @@ class TestTrigCardinal:
             assert trig_cardinal(2.0, n) == 1.0
             assert trig_cardinal(-4.0, n) == 1.0
 
-    @pytest.mark.parametrize("n", [3, 4, 7, 10, 31])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 10, 31])
     def test_kronecker_delta_at_node_offsets(self, n):
         offsets = 2.0 * np.arange(1, n) / n
         tau = trig_cardinal(offsets, n)
@@ -213,6 +213,11 @@ class TestAmplitudeSpectrum:
         lhs = np.sum(s.y ** 2)
         rhs = np.sum(amps ** 2) / len(s)
         assert abs(lhs - rhs) < 1e-9 * lhs
+
+    def test_parseval_random(self):
+        z = np.random.default_rng(8).standard_normal(257)
+        _, amps, _ = amplitude_spectrum(unit_grid(z))
+        assert abs(np.sum(z ** 2) - np.sum(amps ** 2) / 257) < 1e-9 * np.sum(z ** 2)
 
     def test_phases_in_half_open_interval(self):
         rng = np.random.default_rng(4)

@@ -97,13 +97,6 @@ class TestCompareNodes:
         b = NodeSet(NodeKind.CUSTOM, [-1.0, 0.5], unit)
         assert compare_nodes(a, b) == 0.5
 
-    def test_reference_value_chebpts_vs_legendre(self):
-        # The 0.0084 reference value comes from the chebpts-style grid,
-        # which is the 100-point second-kind set.
-        second = cheb_points_second_kind(99)
-        leg = legendre_points(100)
-        assert compare_nodes(second, leg) == pytest.approx(0.0084, abs=5e-4)
-
     def test_first_kind_value_is_smaller(self):
         # Genuine first-kind points hug the Legendre roots about 3x closer.
         diff = compare_nodes(cheb_points_first_kind(100), legendre_points(100))
