@@ -16,6 +16,7 @@ raise ValueError.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -95,7 +96,6 @@ class NodeKind(enum.Enum):
     CHEB_SECOND = "cheb-second"
     LEGENDRE = "legendre"
     UNIFORM = "uniform"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,11 @@ class ChebInterpolant:
         n = max(self.coeffs.size, other.coeffs.size)
         c = np.zeros(n)
         c[: self.coeffs.size] += self.coeffs
-        c[: other.coeffs.size] += other.coeffs
+        try:
+            with np.errstate(over="raise"):
+                c[: other.coeffs.size] += other.coeffs
+        except FloatingPointError:
+            raise ValueError("the series sum overflows") from None
         return ChebInterpolant(c, self.domain)
 
 
@@ -205,12 +209,16 @@ def cheb_points_second_kind(n: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     """
     if n < 1:
         raise ValueError("cheb_points_second_kind requires degree n >= 1")
-    count = n + 1
+    unit = _second_kind_unit_points(n)
+    return NodeSet(NodeKind.CHEB_SECOND, _map_unit_points(unit, domain, ends=True), domain)
+
+
+def _second_kind_unit_points(n: int) -> np.ndarray:
+    """The n + 1 second-kind points on [-1, 1], ascending, as an array."""
     # Ascending order is x_j = sin((2j - n) pi / (2n)); take the j with a
     # positive argument and mirror.
-    j = np.arange(n // 2 + 1, count)
-    unit = _mirrored_half_points(count, (2 * j - n) * (np.pi / (2 * n)))
-    return NodeSet(NodeKind.CHEB_SECOND, _map_unit_points(unit, domain, ends=True), domain)
+    j = np.arange(n // 2 + 1, n + 1)
+    return _mirrored_half_points(n + 1, (2 * j - n) * (np.pi / (2 * n)))
 
 
 def cheb_points_first_kind(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
@@ -323,25 +331,34 @@ def _chop_point(coeffs: np.ndarray, tol: float) -> int:
     n = coeffs.size
     if n < 17:
         return n
-    env = np.abs(coeffs[::-1])
-    np.maximum.accumulate(env, out=env)
-    env = env[::-1]
-    if env[0] == 0.0:
+    mag = np.abs(coeffs)
+    top = mag.max()
+    if top == 0.0:
         return 1
-    env = env / env[0]
 
     # Test j = 2..n while j2 = floor(1.25 j + 5.5) (round half up, as
     # published) stays <= n, that is while 5 j <= 4 n - 19; j2 increases
     # with j, so that is a prefix.  Entry i of e1 is env[j - 1] for
     # j = i + 2, whose j2 is (5 i + 32) // 4.
-    e1 = env[1 : (4 * n - 19) // 5]
-    # env is non-increasing, so its zeros are a suffix of e1.
-    live = int(np.count_nonzero(e1))
+    stop = (4 * n - 19) // 5
     # The test is e2 / e1 > r with r = 3 (1 - ln e1 / ln tol), and e2 <= e1,
     # so it needs r < 1.  Where e1 > 2 tol^(2/3), r > 1 + 3 ln 2 / |ln tol|
     # (1.057 for tol = 2^-52), far past rounding: no j there can pass, and
     # those j are a prefix of e1.  Only the rest is tested.
-    start = int(np.count_nonzero(e1[:live] > 2.0 * tol ** (2.0 / 3.0)))
+    level = 2.0 * tol ** (2.0 / 3.0)
+    # The envelope does not increase, so its last tested entry,
+    # env[stop - 1] = max|c[stop - 1:]| / top, is the least of e1.  When it
+    # lies above that level, so does every e1: none is zero, none can pass,
+    # and the walk ends with no plateau.  Decide that before building the
+    # envelope; the quotient is the one env holds, so the decision is the
+    # same bit for bit.  (At equality the walk runs and also returns n.)
+    if mag[stop - 1 :].max() / top > level:
+        return n
+    env = np.maximum.accumulate(mag[::-1])[::-1] / top
+    e1 = env[1:stop]
+    # env is non-increasing, so its zeros are a suffix of e1.
+    live = int(np.count_nonzero(e1))
+    start = int(np.count_nonzero(e1[:live] > level))
     q = env[(5 * np.arange(start, live) + 28) // 4] / e1[start:live]
     r = 3.0 * (1.0 - np.log(e1[start:live]) / math.log(tol))
     # np.log and math.log (the one-j-at-a-time walk's) can differ in the
@@ -365,7 +382,6 @@ def _chop_point(coeffs: np.ndarray, tol: float) -> int:
     j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
     if j3 < j2:
         j2 = j3 + 1
-        env = env.copy()
         env[j2 - 1] = tol ** (7.0 / 6.0)
     cc = np.log10(env[:j2])
     cc += np.linspace(0.0, (-1.0 / 3.0) * math.log10(tol), j2)
@@ -383,13 +399,17 @@ def interpolant_from_function(
     Parameters
     ----------
     f : callable
-        Vectorized real function, finite on the domain.
+        Vectorized real function, finite on the domain, and pointwise: its
+        value at a point must not depend on the other points in the array.
     domain : Domain
     n : int or None
         Fixed degree (samples at n+1 second-kind points).  None selects
         adaptive mode: grids of 2^k + 1 points for k = 3..16, accepted once
         the coefficient tail has decayed to a plateau below 2^-52
-        relative to the largest coefficient, then chopped there.
+        relative to the largest coefficient, then chopped there.  Each
+        grid is every other point of the next, so ``f`` is called on the
+        9-point grid and then only on each finer grid's 2^(k-1) new points:
+        2^K + 1 evaluations in all when grid K resolves.
 
     Raises
     ------
@@ -403,14 +423,32 @@ def interpolant_from_function(
         nodes = cheb_points_second_kind(n, domain)
         return interpolant_from_values(_sample(f, nodes.points), domain)
 
+    unit = _finest_unit_grid()
+    vals = None
     for k in range(3, 17):
-        nodes = cheb_points_second_kind(2 ** k, domain)
-        coeffs = _values_to_coeffs(_sample(f, nodes.points))
+        pts = _map_unit_points(unit[:: 2 ** (16 - k)], domain, ends=True)
+        # f gets a contiguous copy: never a strided view of the cached grid.
+        if vals is None:
+            vals = _sample(f, np.ascontiguousarray(pts))
+        else:
+            prev, vals = vals, np.empty(pts.size)
+            vals[::2] = prev
+            vals[1::2] = _sample(f, np.ascontiguousarray(pts[1::2]))
+        coeffs = _values_to_coeffs(vals)
         cut = _chop_point(coeffs, _EPS)
         if cut < coeffs.size:
             return ChebInterpolant(coeffs[:cut], domain)
     raise UnresolvedFunctionError("function not resolved on the 65537-point grid",
                                   ChebInterpolant(coeffs, domain))
+
+
+@functools.cache
+def _finest_unit_grid() -> np.ndarray:
+    """The read-only 2^16 + 1 second-kind points on [-1, 1]; the 2^k + 1
+    grid is every 2^(16 - k)-th of them, bit for bit."""
+    unit = _second_kind_unit_points(2 ** 16)
+    unit.flags.writeable = False
+    return unit
 
 
 def _sample(f: Callable, points: np.ndarray) -> np.ndarray:
@@ -537,16 +575,25 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
 
 
 def derivative(p: ChebInterpolant) -> ChebInterpolant:
-    """Derivative series via b_{k-1} = b_{k+1} + 2k a_k, domain-scaled."""
-    c = p.coeffs
-    n = c.size - 1
+    """Derivative series via b_{k-1} = b_{k+1} + 2k a_k, domain-scaled.
+
+    The recurrence runs on coefficients scaled by ``_overflow_scale``; a
+    derivative whose coefficients do not fit in a float raises ValueError.
+    """
+    n = p.coeffs.size - 1
     if n == 0:
         return ChebInterpolant(np.zeros(1), p.domain)
+    scale = _overflow_scale(p.coeffs)
+    c = p.coeffs * scale
     b = np.zeros(n + 2)
     for k in range(n, 0, -1):
         b[k - 1] = b[k + 1] + 2.0 * k * c[k]
     b[0] *= 0.5
-    return ChebInterpolant(b[:n] * (2.0 / p.domain.width), p.domain)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return ChebInterpolant(b[:n] * (2.0 / p.domain.width) / scale, p.domain)
+    except FloatingPointError:
+        raise ValueError("the derivative coefficients overflow") from None
 
 
 def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
@@ -560,7 +607,9 @@ def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
     the same size cannot resolve.
     """
     dom = p.domain
-    dp = derivative(p)
+    # Only the sign of p' is used, so bracket on the derivative of p scaled
+    # by a power of two, which fits where p' itself may not.
+    dp = derivative(ChebInterpolant(p.coeffs * _overflow_scale(p.coeffs), dom))
     m = 8 * p.degree + 16
     grid = dom.from_unit(-np.cos(np.arange(m) * (np.pi / (m - 1))))
     grid[0], grid[-1] = dom.a, dom.b

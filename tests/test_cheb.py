@@ -8,6 +8,7 @@ from chebsig.cheb import (
     Domain,
     NodeKind,
     UnresolvedFunctionError,
+    _chop_point,
     cheb_points_first_kind,
     cheb_points_second_kind,
     derivative,
@@ -38,6 +39,25 @@ def direct_coefficients(values):
     out[0] /= 2
     out[n] /= 2
     return out
+
+
+def _rebuilt_grid_construction(f, domain):
+    """The adaptive ladder with every grid built and sampled in full: the
+    bit-identity reference for interpolant_from_function's nested grids."""
+    for k in range(3, 17):
+        nodes = cheb_points_second_kind(2 ** k, domain)
+        coeffs = interpolant_from_values(f(nodes.points), domain).coeffs
+        cut = _chop_point(coeffs, 2.0 ** -52)
+        if cut < coeffs.size:
+            return coeffs[:cut]
+    raise AssertionError("unresolved on the 65537-point grid")
+
+
+_LADDER_FAMILIES = {
+    "sin": lambda k: lambda u: np.sin(k * u + 0.3),
+    "runge": lambda k: lambda u: 1.0 / (1.0 + (k * (u - 0.1)) ** 2),
+    "tanh": lambda k: lambda u: np.tanh(k * (u + 0.2)),
+}
 
 
 class TestDomain:
@@ -281,6 +301,60 @@ class TestInterpolantFromFunction:
         p = interpolant_from_function(np.exp, UNIT, n=12)
         assert len(p) == 13
 
+    @pytest.mark.parametrize("domain", [UNIT, Domain(0.24, 3.14), Domain(-5.0, 1e3)],
+                             ids=["unit", "0.24-3.14", "-5-1e3"])
+    @pytest.mark.parametrize("family", sorted(_LADDER_FAMILIES))
+    def test_nested_ladder_matches_rebuilt_grids(self, family, domain):
+        for k in (1.0, 6.5, 45.0, 300.0):
+            g = _LADDER_FAMILIES[family](k)
+            f = lambda x: g(domain.to_unit(x))
+            got = interpolant_from_function(f, domain).coeffs
+            assert got.tobytes() == _rebuilt_grid_construction(f, domain).tobytes()
+
+    def test_nested_ladder_keeps_the_too_narrow_error(self):
+        # Grid 2^8 + 1 is the first this domain cannot separate.
+        dom = Domain(1.0, 1.0 + 2.0 ** -40)
+        f = lambda x: np.sin(40.0 * dom.to_unit(x))
+        with pytest.raises(ValueError) as want:
+            _rebuilt_grid_construction(f, dom)
+        with pytest.raises(ValueError) as got:
+            interpolant_from_function(f, dom)
+        assert str(got.value) == str(want.value)
+        assert "separate 257 nodes" in str(got.value)
+
+    @pytest.mark.parametrize("domain", [UNIT, Domain(0.24, 3.14)], ids=["unit", "0.24-3.14"])
+    def test_f_sees_only_each_grids_new_points(self, domain):
+        seen, rebuilt = [], []
+
+        def f(x):
+            seen.append((x.size, x.flags.c_contiguous))
+            return np.tanh(30.0 * domain.to_unit(x))
+
+        def g(x):
+            rebuilt.append(x.size)
+            return np.tanh(30.0 * domain.to_unit(x))
+
+        interpolant_from_function(f, domain)
+        _rebuilt_grid_construction(g, domain)
+        # The rebuilt ladder samples grids 2^3 + 1 .. 2^K + 1 in full.
+        assert rebuilt == [2 ** k + 1 for k in range(3, 3 + len(rebuilt))]
+        assert seen == [(9, True)] + [(2 ** (k - 1), True) for k in range(4, 3 + len(rebuilt))]
+        assert sum(size for size, _ in seen) == rebuilt[-1]
+
+    @pytest.mark.parametrize("domain", [UNIT, Domain(0.24, 3.14)], ids=["unit", "0.24-3.14"])
+    def test_f_writing_into_its_argument_changes_no_later_construction(self, domain):
+        def scribble(x):
+            y = np.sin(9.0 * domain.to_unit(x))
+            x[:] = 0.5
+            return y
+
+        def f(x):
+            return np.sin(9.0 * domain.to_unit(x))
+
+        want = _rebuilt_grid_construction(f, domain).tobytes()
+        assert interpolant_from_function(scribble, domain).coeffs.tobytes() == want
+        assert interpolant_from_function(f, domain).coeffs.tobytes() == want
+
     def test_unresolved_carries_best_effort(self):
         # Far too oscillatory for the 2^16+1 ladder.
         with pytest.raises(UnresolvedFunctionError) as info:
@@ -468,6 +542,16 @@ class TestDerivative:
         d = derivative(p)
         assert evaluate(d, 3.0) == pytest.approx(math.exp(3.0), rel=1e-10)
 
+    def test_overflowing_derivative_raises(self):
+        # 1e300 T_1 on a width of 1e-10 has slope 2e310.
+        with pytest.raises(ValueError, match="derivative coefficients overflow"):
+            derivative(ChebInterpolant([0.0, 1e300], Domain(0.0, 1e-10)))
+
+    def test_recurrence_term_past_the_float_limit(self):
+        # 2 a_1 = 2e308 does not fit, but b_0 = b_2 + 2 a_1 = 5e307 does.
+        d = derivative(ChebInterpolant([0.0, 1e308, 0.0, -2.5e307], UNIT))
+        assert np.array_equal(d.coeffs, [2.5e307, 0.0, -1.5e308])
+
 
 class TestMinAndMax:
     def test_t2(self):
@@ -483,6 +567,12 @@ class TestMinAndMax:
         dense = evaluate(p, np.linspace(-1, 1, 10 ** 6 + 1))
         assert lo == pytest.approx(dense.min(), abs=1e-8)
         assert hi == pytest.approx(dense.max(), abs=1e-8)
+
+    def test_extrema_near_the_float_limit(self):
+        # p' = 1e308 T_10' overflows; its sign is all the search needs.
+        lo, hi = min_and_max(ChebInterpolant([0.0] * 10 + [1e308], UNIT))
+        assert lo == pytest.approx(-1e308, rel=1e-15)
+        assert hi == pytest.approx(1e308, rel=1e-15)
 
     def test_endpoint_extrema(self):
         p = interpolant_from_function(np.exp, Domain(-1.0, 1.0), n=20)
@@ -521,6 +611,12 @@ class TestAddition:
     def test_domain_mismatch(self):
         with pytest.raises(ValueError):
             ChebInterpolant([1.0], UNIT) + ChebInterpolant([1.0], Domain(0, 1))
+
+    def test_overflowing_sum_raises(self):
+        with pytest.raises(ValueError, match="series sum overflows"):
+            ChebInterpolant([1e308], UNIT) + ChebInterpolant([1e308, 1.0], UNIT)
+        s = ChebInterpolant([1e308], UNIT) + ChebInterpolant([-1e308, 1.0], UNIT)
+        assert np.array_equal(s.coeffs, [0.0, 1.0])
 
 
 class TestConvergenceDichotomy:

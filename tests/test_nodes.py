@@ -93,8 +93,8 @@ class TestCompareNodes:
         from chebsig.cheb import Domain, NodeKind, NodeSet
 
         unit = Domain(-1.0, 1.0)
-        a = NodeSet(NodeKind.CUSTOM, [-1.0, 1.0], unit)
-        b = NodeSet(NodeKind.CUSTOM, [-1.0, 0.5], unit)
+        a = NodeSet(NodeKind.UNIFORM, [-1.0, 1.0], unit)
+        b = NodeSet(NodeKind.UNIFORM, [-1.0, 0.5], unit)
         assert compare_nodes(a, b) == 0.5
 
     def test_first_kind_value_is_smaller(self):

@@ -311,6 +311,44 @@ def test_chop_point_rechecks_near_ties_with_math_log():
         assert _chop_point(coeffs, tol) == want
 
 
+class _CountingMath:
+    """The math module, counting calls to log."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+@pytest.mark.parametrize("n", [17, 100])
+@pytest.mark.parametrize("tol", [2.0 ** -52, 1e-10])
+def test_chop_point_early_rejection_boundary(monkeypatch, n, tol):
+    # The last tested envelope entry, max|c[stop - 1:]| / max|c| with
+    # stop = (4 n - 19) // 5, set to the rejection level 2 tol^(2/3) and to
+    # its neighbours.  Only strictly above it may _chop_point return before
+    # the walk; at the level the walk runs (and, as r > 1 there, also finds
+    # no plateau).  The walk is _chop_point's only caller of math.log.
+    level = 2.0 * tol ** (2.0 / 3.0)
+    stop = (4 * n - 19) // 5
+    counter = _CountingMath()
+    monkeypatch.setattr(cheb, "math", counter)
+    for last, walks in [(np.nextafter(level, 0.0), True), (level, True),
+                        (np.nextafter(level, 1.0), False)]:
+        coeffs = np.empty(n)
+        coeffs[0] = -1.0
+        coeffs[1:stop - 1] = 0.5 ** np.arange(1, stop - 1) + last
+        coeffs[stop - 1] = last
+        coeffs[stop:] = 0.25 * last * 0.9 ** np.arange(n - stop)
+        counter.logs = 0
+        assert _chop_point(coeffs, tol) == _scalar_chop_point(coeffs, tol)
+        assert (counter.logs > 0) is walks
+
+
 def test_chop_point_matches_scalar_walk_on_an_adaptive_round(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import workloads
