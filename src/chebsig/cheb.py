@@ -44,6 +44,21 @@ __all__ = [
 
 _EPS = 2.0 ** -52
 
+#: Elements of the work buffer of a row-blocked kernel (256 KiB of float64,
+#: so a block stays in L2); a row longer than this gets a block of its own.
+_BLOCK_ELEMENTS = 2 ** 15
+
+
+def _row_blocks(count: int, width: int):
+    """Yield (rows, block) that cover rows 0..count-1 of a count x width
+    matrix: rows a slice, block a (rows, width) view of one buffer of about
+    ``_BLOCK_ELEMENTS`` floats, reused by every block."""
+    step = max(_BLOCK_ELEMENTS // width, 1)
+    buf = np.empty((min(step, count), width))
+    for start in range(0, count, step):
+        rows = slice(start, min(start + step, count))
+        yield rows, buf[: rows.stop - start]
+
 
 class UnresolvedFunctionError(RuntimeError):
     """Adaptive construction hit the largest grid without resolving.
@@ -529,6 +544,12 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     domain)``, the same polynomial.  Non-finite points or values, and
     overflowing values, raise ValueError.
 
+    The inside queries are taken a block of rows at a time in one buffer of
+    about ``_BLOCK_ELEMENTS`` floats, so memory is O(block), not
+    O(queries x nodes).  Both sums of a row (``np.sum`` and ``np.vecdot``)
+    are row-local, so each query gets the same bits whatever else shares
+    the call.
+
     Parameters
     ----------
     values : array_like
@@ -536,7 +557,7 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     nodes : NodeSet
         Must have kind CHEB_SECOND.
     x : scalar or array_like
-        Query points.
+        Query points, of any shape; the result has the same shape.
     """
     v = np.asarray(values, dtype=float)
     if nodes.kind is not NodeKind.CHEB_SECOND:
@@ -549,29 +570,35 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     xq = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xq)):
         raise ValueError("points must be finite")
-    scalar = xq.ndim == 0
-    xq = np.atleast_1d(xq)
+    shape = xq.shape
+    xq = xq.ravel()
 
     w = np.ones(pts.size)
     w[1::2] = -1.0
     w[0] *= 0.5
     w[-1] *= 0.5
-    # v * scale keeps ratio @ v finite where den is.  Outside rows stay in the
-    # matrix: the BLAS product can round a row differently when the row count changes.
+    # v * scale keeps each numerator finite where its den is.
     scale = _overflow_scale(v)
-    ratio = xq[:, None] - pts
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(w, ratio, out=ratio)
-        den = np.sum(ratio, axis=1)
-        out = (ratio @ (v * scale)) / den / scale
+    vs = v * scale
+    out = np.empty(xq.shape)
     inside = (xq >= dom.a) & (xq <= dom.b)
-    snap = inside & ~np.isfinite(den)
-    out[snap] = v[np.argmin(np.abs(xq[snap, None] - pts), axis=1)]
-    if not np.all(np.isfinite(out[inside])):
-        raise ValueError("the interpolant value overflows")
-    if not np.all(inside):
+    at = np.flatnonzero(inside)
+    for rows, ratio in _row_blocks(at.size, pts.size):
+        idx = at[rows]
+        xb = xq[idx, None]
+        np.subtract(xb, pts, out=ratio)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(w, ratio, out=ratio)
+            den = np.sum(ratio, axis=1)
+            block = np.vecdot(ratio, vs) / den / scale
+        snap = ~np.isfinite(den)
+        block[snap] = v[np.argmin(np.abs(xb[snap] - pts), axis=1)]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("the interpolant value overflows")
+        out[idx] = block
+    if at.size < xq.size:
         out[~inside] = evaluate(interpolant_from_values(v, dom), xq[~inside])
-    return float(out[0]) if scalar else out
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def derivative(p: ChebInterpolant) -> ChebInterpolant:
@@ -601,7 +628,8 @@ def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
 
     Brackets sign changes of p' on a Chebyshev-spaced grid of
     8*degree + 16 points (endpoints pinned to a and b), bisects each
-    bracket to an abscissa tolerance of 1e-13, and compares the candidate
+    bracket to an abscissa tolerance of 1e-13 (or to adjacent floats, where
+    those lie further apart), and compares the candidate
     values together with the endpoints.  Near the ends the extrema of a
     degree-n polynomial crowd to O(n^-2) spacing, which a uniform grid of
     the same size cannot resolve.
@@ -624,6 +652,14 @@ def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
         mid = 0.5 * (lo + hi)
         fm = np.atleast_1d(evaluate(dp, mid))
         left = flo * fm <= 0.0
+        # Where adjacent floats are over 1e-13 apart (|x| >= 512) a bracket
+        # can stall: its midpoint is an end and the step leaves it as it was,
+        # so it would stall again on every later sweep.  Stop once no bracket
+        # wider than 1e-13 moves; wherever the loop ended before, it still
+        # ends at the same sweep.
+        moved = np.where(left, mid != hi, mid != lo)
+        if not np.any(moved & (hi - lo > 1e-13)):
+            break
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
         flo = np.where(left, flo, fm)

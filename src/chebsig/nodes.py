@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .cheb import UNIT_DOMAIN, Domain, NodeKind, NodeSet
+from .cheb import UNIT_DOMAIN, Domain, NodeKind, NodeSet, _row_blocks
 
 __all__ = [
     "legendre_points",
@@ -80,7 +80,8 @@ def mean_distance(points) -> np.ndarray:
     Entry j is (prod_{i != j} |x_j - x_i|)^(1/(count-1)); the zero
     self-distance is excluded, otherwise every entry would vanish.
     Computed through logarithms so large point sets neither overflow nor
-    underflow the product.  Non-finite points, or finite ones whose span
+    underflow the product, a block of rows at a time, so memory is
+    O(block), not O(count^2).  Non-finite points, or finite ones whose span
     overflows, raise ValueError.
     """
     pts = np.asarray(points, dtype=float)
@@ -90,13 +91,18 @@ def mean_distance(points) -> np.ndarray:
         raise ValueError("points must be finite")
     if not math.isfinite(float(pts.max()) - float(pts.min())):
         raise ValueError("the span of the points overflows")
-    diff = pts[:, None] - pts
-    np.abs(diff, out=diff)
-    np.fill_diagonal(diff, 1.0)  # log 1 = 0 leaves the self-distance out
-    if np.any(diff == 0.0):
-        raise ValueError("points must be distinct")
-    np.log(diff, out=diff)
-    return np.exp(diff.sum(axis=1) / (pts.size - 1))
+    # Each row's sum is row-local, so blocks of rows give the bits of the
+    # whole matrix.
+    logs = np.empty(pts.size)
+    for rows, diff in _row_blocks(pts.size, pts.size):
+        np.subtract(pts[rows, None], pts, out=diff)
+        np.abs(diff, out=diff)
+        np.fill_diagonal(diff[:, rows.start :], 1.0)  # log 1 = 0 leaves the self-distance out
+        if np.any(diff == 0.0):
+            raise ValueError("points must be distinct")
+        np.log(diff, out=diff)
+        diff.sum(axis=1, out=logs[rows])
+    return np.exp(logs / (pts.size - 1))
 
 
 def smallest_nonzero_midpoint() -> int:

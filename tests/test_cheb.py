@@ -434,6 +434,16 @@ class TestBarycentric:
         diff = np.abs(evaluate_barycentric(v, nodes, x) - evaluate(p, x))
         assert np.max(diff) < 1e-12 * np.max(np.abs(v))
 
+    def test_keeps_the_query_shape(self):
+        # Rows as long as the node vector must not be broadcast against it.
+        nodes = cheb_points_second_kind(2)
+        v = np.array([1.0, 2.0, 5.0])
+        x = np.array([[0.1, 0.2, 0.3], [-0.5, 0.5, 1.5]])
+        got = evaluate_barycentric(v, nodes, x)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, evaluate_barycentric(v, nodes, x.ravel()).reshape(2, 3))
+        assert np.allclose(got, evaluate(interpolant_from_values(v), x), rtol=1e-14)
+
     def test_rejects_mismatched_lengths(self):
         nodes = cheb_points_second_kind(4)
         with pytest.raises(ValueError):
@@ -579,6 +589,13 @@ class TestMinAndMax:
         lo, hi = min_and_max(p)
         assert lo == pytest.approx(math.exp(-1), rel=1e-12)
         assert hi == pytest.approx(math.e, rel=1e-12)
+
+    def test_brackets_wider_than_the_tolerance_at_their_last_float(self):
+        # Near 600 adjacent floats are 1.1e-13 apart, so no bracket of p'
+        # narrows to 1e-13; the search still returns.
+        lo, hi = min_and_max(interpolant_from_function(np.sin, Domain(600.0, 610.0)))
+        assert lo == pytest.approx(-1.0, abs=1e-12)
+        assert hi == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTruncate:

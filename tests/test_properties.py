@@ -1,6 +1,7 @@
 """Randomized property tests for the library invariants."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -388,7 +389,7 @@ def _textbook_barycentric(values, nodes, x):
     exact_q, exact_n = np.nonzero(diff == 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = w / diff
-        out = (ratio @ v) / np.sum(ratio, axis=1)
+        out = np.vecdot(ratio, v) / np.sum(ratio, axis=1)
     out[exact_q] = v[exact_n]
     bad = np.nonzero(~np.isfinite(out))[0]
     out[bad] = v[np.argmin(np.abs(diff[bad]), axis=1)]
@@ -456,9 +457,9 @@ def test_barycentric_is_bit_identical_to_textbook_form(n, seed, unit, where, sca
 
 
 def test_barycentric_mixed_call_keeps_textbook_bits_inside():
-    # A row of the BLAS product can round differently when the row count
-    # changes: on OpenBLAS 0.3.31 (Haswell kernel), multiplying only the 7
-    # inside rows here changes 3 of them.
+    # Only the 7 inside rows enter the barycentric blocks; the outside rows
+    # go to Clenshaw.  The row sums are row-local, so the inside rows keep
+    # the bits the textbook form gives them in a call with all 9 rows.
     rng = np.random.default_rng(50)
     v = rng.standard_normal(51)
     nodes = cheb_points_second_kind(50)
@@ -466,6 +467,52 @@ def test_barycentric_mixed_call_keeps_textbook_bits_inside():
     got = evaluate_barycentric(v, nodes, x)
     assert np.array_equal(_bits(got[:7]), _bits(_textbook_barycentric(v, nodes, x)[:7]))
     assert np.array_equal(_bits(got[7:]), _bits(evaluate(interpolant_from_values(v), x[7:])))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.integers(min_value=1, max_value=3000),
+                 st.sampled_from([2 ** 14, 2 ** 15 + 6])),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=2, max_value=4))
+def test_barycentric_query_bits_do_not_depend_on_the_batch(n, seed, blocks):
+    # Each query must get the same bits alone, in the full batch and in a
+    # shuffled sub-batch, whichever block of rows it lands in.  From
+    # n = 2^14 on, every row is a block of its own.
+    rng = np.random.default_rng(seed)
+    nodes = cheb_points_second_kind(n)
+    pts = nodes.points
+    v = rng.standard_normal(n + 1)
+    rows = max(cheb._BLOCK_ELEMENTS // (n + 1), 1)
+    size = blocks * rows + int(rng.integers(0, rows))
+    pick = rng.integers(0, n + 1, size)
+    side = np.where(rng.integers(0, 2, size) == 1, 1.0, -1.0)
+    x = np.choose(rng.integers(0, 4, size), [
+        pts[pick],
+        np.nextafter(pts[pick], side * np.inf),
+        rng.uniform(-1.0, 1.0, size),
+        # just outside, close enough that extrapolating degree n stays finite
+        side * (1.0 + rng.uniform(0.0, 1.0 / n ** 2, size)),
+    ])
+    got = _bits(evaluate_barycentric(v, nodes, x))
+    for i in rng.integers(0, size, 8):
+        assert _bits(evaluate_barycentric(v, nodes, x[i])) == got[i]
+    sub = rng.permutation(size)[: int(rng.integers(1, size + 1))]
+    assert np.array_equal(_bits(evaluate_barycentric(v, nodes, x[sub])), got[sub])
+
+
+def test_barycentric_memory_is_bounded_by_the_block():
+    # One queries x nodes matrix of this size would take 306 MiB.
+    rng = np.random.default_rng(20000)
+    nodes = cheb_points_second_kind(2000)
+    v = rng.standard_normal(2001)
+    x = rng.uniform(-1.0, 1.0, 20000)
+    tracemalloc.start()
+    try:
+        evaluate_barycentric(v, nodes, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _textbook_mean_distance(points):
