@@ -16,20 +16,17 @@ reproducible from (parameters, seed).
 from .cheb import (
     ChebInterpolant,
     Domain,
-    NodeKind,
     NodeSet,
     UnresolvedFunctionError,
     cheb_points_first_kind,
     cheb_points_second_kind,
     derivative,
-    eval_cheb_poly,
     evaluate,
     evaluate_barycentric,
     interpolant_from_function,
     interpolant_from_values,
     min_and_max,
     truncate,
-    values_at_nodes,
 )
 from .conditioning import (
     Basis,

@@ -15,7 +15,6 @@ raise ValueError.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -25,17 +24,14 @@ import numpy as np
 
 __all__ = [
     "Domain",
-    "NodeKind",
     "NodeSet",
     "ChebInterpolant",
     "UnresolvedFunctionError",
     "cheb_points_second_kind",
     "cheb_points_first_kind",
-    "eval_cheb_poly",
     "interpolant_from_values",
     "interpolant_from_function",
     "evaluate",
-    "values_at_nodes",
     "evaluate_barycentric",
     "derivative",
     "min_and_max",
@@ -106,18 +102,10 @@ class Domain:
 UNIT_DOMAIN = Domain(-1.0, 1.0)
 
 
-class NodeKind(enum.Enum):
-    CHEB_FIRST = "cheb-first"
-    CHEB_SECOND = "cheb-second"
-    LEGENDRE = "legendre"
-    UNIFORM = "uniform"
-
-
 @dataclass(frozen=True)
 class NodeSet:
-    """A tagged, strictly increasing vector of sample abscissae."""
+    """A strictly increasing vector of sample abscissae within a domain."""
 
-    kind: NodeKind
     points: np.ndarray
     domain: Domain
 
@@ -225,7 +213,7 @@ def cheb_points_second_kind(n: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     if n < 1:
         raise ValueError("cheb_points_second_kind requires degree n >= 1")
     unit = _second_kind_unit_points(n)
-    return NodeSet(NodeKind.CHEB_SECOND, _map_unit_points(unit, domain, ends=True), domain)
+    return NodeSet(_map_unit_points(unit, domain, ends=True), domain)
 
 
 def _second_kind_unit_points(n: int) -> np.ndarray:
@@ -247,7 +235,7 @@ def cheb_points_first_kind(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     # Ascending: x_j = sin((2j + 1 - count) pi / (2 count)).
     j = np.arange((count + 1) // 2, count)
     unit = _mirrored_half_points(count, (2 * j + 1 - count) * (np.pi / (2 * count)))
-    return NodeSet(NodeKind.CHEB_FIRST, _map_unit_points(unit, domain), domain)
+    return NodeSet(_map_unit_points(unit, domain), domain)
 
 
 def _map_unit_points(unit: np.ndarray, domain: Domain, ends: bool = False) -> np.ndarray:
@@ -265,23 +253,6 @@ def _map_unit_points(unit: np.ndarray, domain: Domain, ends: bool = False) -> np
             f"domain [{domain.a}, {domain.b}] is too narrow to separate {unit.size} nodes"
         )
     return pts
-
-
-def eval_cheb_poly(k: int, x):
-    """T_k(x) by the three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}.
-
-    Accepts scalar or array x.  Arguments with |x| > 1 are extrapolation.
-    """
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
-    x = np.asarray(x, dtype=float)
-    t_prev = np.ones_like(x)
-    if k == 0:
-        return t_prev if t_prev.ndim else float(t_prev)
-    t_cur = x.copy()
-    for _ in range(k - 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur if t_cur.ndim else float(t_cur)
 
 
 def _overflow_scale(v: np.ndarray) -> float:
@@ -323,8 +294,8 @@ def interpolant_from_values(values, domain: Domain = UNIT_DOMAIN) -> ChebInterpo
     Returns
     -------
     ChebInterpolant
-        Degree-n series; reading it back through :func:`values_at_nodes`
-        reproduces the input to within 50 eps * max|values|.
+        Degree-n series; its inverse cosine transform (the synthesis half
+        of this one) gives back the input to within 50 eps * max|values|.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -480,27 +451,6 @@ def _sample(f: Callable, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def values_at_nodes(p: ChebInterpolant) -> np.ndarray:
-    """Values at the n+1 second-kind nodes via the inverse cosine transform.
-
-    This is the synthesis half of the construction transform, so a
-    values -> coefficients -> values round trip through it is accurate to a
-    few rounding errors regardless of how rough the data is (pointwise
-    Clenshaw evaluation accumulates O(n eps) on non-smooth data).  A
-    constant series yields the single value.
-    """
-    c = p.coeffs
-    n = c.size - 1
-    if n == 0:
-        return c.copy()
-    spec = np.zeros(n + 1)
-    spec[0] = 2.0 * n * c[0]
-    spec[n] = 2.0 * n * c[n]
-    spec[1:n] = n * c[1:n]
-    ext = np.fft.irfft(spec, 2 * n)
-    return ext[: n + 1][::-1].copy()
-
-
 def evaluate(p: ChebInterpolant, x):
     """Evaluate the series by the Clenshaw recurrence.
 
@@ -555,14 +505,18 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     values : array_like
         Samples at ``nodes``, same length.
     nodes : NodeSet
-        Must have kind CHEB_SECOND.
+        ``cheb_points_second_kind(len(nodes) - 1, nodes.domain)``, bit for
+        bit: the weights hold on those points only.  Any other set raises
+        ValueError.
     x : scalar or array_like
         Query points, of any shape; the result has the same shape.
     """
     v = np.asarray(values, dtype=float)
-    if nodes.kind is not NodeKind.CHEB_SECOND:
-        raise ValueError("barycentric weights here assume second-kind nodes")
     pts, dom = nodes.points, nodes.domain
+    if pts.size < 2:
+        raise ValueError("barycentric evaluation needs at least 2 nodes (degree n >= 1)")
+    if not np.array_equal(pts, cheb_points_second_kind(pts.size - 1, dom).points):
+        raise ValueError("nodes must be cheb_points_second_kind(len(nodes) - 1, nodes.domain)")
     if v.shape != pts.shape:
         raise ValueError(f"got {v.size} values for {pts.size} nodes")
     if not np.all(np.isfinite(v)):
@@ -672,9 +626,10 @@ def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
 def truncate(p: ChebInterpolant, tol_rel: float) -> ChebInterpolant:
     """Drop trailing coefficients with |a_k| < tol_rel * max|a_j|.
 
-    Never returns an empty series; a_0 is always kept.
+    Never returns an empty series; a_0 is always kept.  A tol_rel that is
+    not positive (NaN included) raises ValueError.
     """
-    if tol_rel <= 0:
+    if not tol_rel > 0:
         raise ValueError("tol_rel must be positive")
     c = p.coeffs
     cutoff = tol_rel * np.max(np.abs(c))

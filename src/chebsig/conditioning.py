@@ -16,7 +16,7 @@ import enum
 
 import numpy as np
 
-from .cheb import Domain, cheb_points_second_kind, eval_cheb_poly
+from .cheb import Domain, cheb_points_second_kind
 
 __all__ = [
     "Basis",
@@ -72,8 +72,11 @@ def build_basis_matrix(basis: Basis, domain: Domain, max_degree: int) -> np.ndar
     weights = clenshaw_curtis_weights(grid_size - 1) * (domain.width / 2.0)
     sqrt_w = np.sqrt(weights)
     if basis is Basis.CHEBYSHEV:
+        # T_{k+1} = 2 s T_k - T_{k-1}, one new column per degree.
         s = domain.to_unit(x)
-        cols = [eval_cheb_poly(k, s) for k in range(max_degree + 1)]
+        cols = [np.ones_like(s), s][: max_degree + 1]
+        for _ in range(max_degree - 1):
+            cols.append(2.0 * s * cols[-1] - cols[-2])
     else:
         cols = [x ** k for k in range(max_degree + 1)]
     return np.column_stack(cols) * sqrt_w[:, None]

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .cheb import UNIT_DOMAIN, Domain, NodeKind, NodeSet, _row_blocks
+from .cheb import UNIT_DOMAIN, Domain, NodeSet, _row_blocks
 
 __all__ = [
     "legendre_points",
@@ -54,14 +54,14 @@ def legendre_points(count: int) -> NodeSet:
             break
     else:
         raise RuntimeError(f"Legendre Newton iteration stalled for count={count}")
-    return NodeSet(NodeKind.LEGENDRE, np.sort(x), UNIT_DOMAIN)
+    return NodeSet(np.sort(x), UNIT_DOMAIN)
 
 
 def uniform_points(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     """count equally spaced points spanning the domain, endpoints included."""
     if count < 2:
         raise ValueError("uniform_points requires count >= 2")
-    return NodeSet(NodeKind.UNIFORM, np.linspace(domain.a, domain.b, count), domain)
+    return NodeSet(np.linspace(domain.a, domain.b, count), domain)
 
 
 def compare_nodes(a: NodeSet, b: NodeSet) -> float:

@@ -75,8 +75,8 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("shape and scale must be positive")
+        if not all(0 < v < math.inf for v in (self.shape, self.scale)):
+            raise ValueError("shape and scale must be positive and finite")
 
 
 def gamma_variate(params: GammaParams, t) -> Signal:
@@ -104,8 +104,8 @@ def uneven_grid(count: int, span: float, seed: int, mode: str = "sorted") -> np.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    if span <= 0:
-        raise ValueError("span must be positive")
+    if not 0 < span < math.inf:
+        raise ValueError("span must be positive and finite")
     rng = np.random.default_rng(seed)
     if mode == "sorted":
         t = np.sort(rng.uniform(0.0, span, count))

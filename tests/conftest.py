@@ -1,9 +1,28 @@
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
 from chebsig.cli import main
+
+
+def _inverse_cosine_transform(coeffs):
+    """Values at the n+1 ascending second-kind points of a degree-n series
+    by an inverse real FFT: the synthesis half of the construction
+    transform, a reference oracle for its round trip."""
+    c = np.asarray(coeffs, dtype=float)
+    n = c.size - 1
+    spec = np.zeros(n + 1)
+    spec[0] = 2.0 * n * c[0]
+    spec[n] = 2.0 * n * c[n]
+    spec[1:n] = n * c[1:n]
+    return np.fft.irfft(spec, 2 * n)[: n + 1][::-1]
+
+
+@pytest.fixture(scope="session")
+def inverse_cosine_transform():
+    return _inverse_cosine_transform
 
 
 @pytest.fixture(scope="session")

@@ -6,21 +6,21 @@ import pytest
 from chebsig.cheb import (
     ChebInterpolant,
     Domain,
-    NodeKind,
+    NodeSet,
     UnresolvedFunctionError,
     _chop_point,
     cheb_points_first_kind,
     cheb_points_second_kind,
     derivative,
-    eval_cheb_poly,
     evaluate,
     evaluate_barycentric,
     interpolant_from_function,
     interpolant_from_values,
     min_and_max,
     truncate,
-    values_at_nodes,
 )
+from chebsig.conditioning import Basis, build_basis_matrix, clenshaw_curtis_weights
+from chebsig.nodes import legendre_points, uniform_points
 
 UNIT = Domain(-1.0, 1.0)
 
@@ -134,10 +134,6 @@ class TestNodeGeneration:
         with pytest.raises(ValueError):
             cheb_points_first_kind(0)
 
-    def test_kinds_tagged(self):
-        assert cheb_points_second_kind(3).kind is NodeKind.CHEB_SECOND
-        assert cheb_points_first_kind(3).kind is NodeKind.CHEB_FIRST
-
 
 class TestExtremaAndRoots:
     """Second-kind points are the extrema of T_n, first-kind points its roots."""
@@ -148,7 +144,7 @@ class TestExtremaAndRoots:
     def test_extrema_have_unit_magnitude(self):
         pts = cheb_points_second_kind(4).points
         for x in pts:
-            assert abs(abs(eval_cheb_poly(4, x)) - 1.0) < 1e-14
+            assert abs(abs(math.cos(4 * math.acos(x))) - 1.0) < 1e-14
         assert np.allclose(
             pts,
             [-1.0, -math.sqrt(2) / 2, 0.0, math.sqrt(2) / 2, 1.0],
@@ -157,7 +153,7 @@ class TestExtremaAndRoots:
 
     def test_polynomial_vanishes_at_roots(self):
         for x in cheb_points_first_kind(5).points:
-            assert abs(eval_cheb_poly(5, x)) < 1e-14
+            assert abs(math.cos(5 * math.acos(x))) < 1e-14
 
     def test_roots_equal_first_kind_points(self):
         # The textbook roots cos((2k+1) pi / (2n)) of T_n.
@@ -167,23 +163,15 @@ class TestExtremaAndRoots:
 
 
 class TestEvalChebPoly:
-    def test_degree_zero(self):
-        assert eval_cheb_poly(0, 0.3) == 1.0
-
-    def test_degree_two(self):
-        assert eval_cheb_poly(2, 0.5) == pytest.approx(-0.5, abs=1e-15)
-
-    def test_trig_identity(self):
-        assert eval_cheb_poly(7, 0.123) == pytest.approx(
-            math.cos(7 * math.acos(0.123)), abs=1e-14
-        )
-
     def test_trig_identity_sweep(self):
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-1, 1, 1000)
+        # The Chebyshev columns of the basis matrix, unweighted, are T_k
+        # on its 1024-point second-kind grid.
+        x = cheb_points_second_kind(1023).points
+        sqrt_w = np.sqrt(clenshaw_curtis_weights(1023))
+        cols = build_basis_matrix(Basis.CHEBYSHEV, UNIT, 100) / sqrt_w[:, None]
         for k in (1, 3, 10, 37, 100):
             ref = np.cos(k * np.arccos(x))
-            assert np.max(np.abs(eval_cheb_poly(k, x) - ref)) < 1e-12
+            assert np.max(np.abs(cols[:, k] - ref)) < 1e-12
 
 
 class TestInterpolantFromValues:
@@ -204,7 +192,7 @@ class TestInterpolantFromValues:
         vals = np.cos(2 * np.arccos(nodes))
         p = interpolant_from_values(vals)
         # Independent oracle: solve the 5x5 collocation system directly.
-        system = np.column_stack([eval_cheb_poly(k, nodes) for k in range(5)])
+        system = np.column_stack([np.cos(k * np.arccos(nodes)) for k in range(5)])
         direct = np.linalg.solve(system, vals)
         assert np.max(np.abs(p.coeffs - direct)) < 1e-13
         assert np.max(np.abs(p.coeffs - [0, 0, 1, 0, 0])) < 1e-14
@@ -217,13 +205,13 @@ class TestInterpolantFromValues:
             slow = direct_coefficients(v)
             assert np.max(np.abs(fast - slow)) < 1e-12 * np.max(np.abs(v))
 
-    def test_transform_round_trip(self):
+    def test_transform_round_trip(self, inverse_cosine_transform):
         # Synthesis back through the inverse transform stays at a few eps
         # even for rough random data and large n.
         rng = np.random.default_rng(1)
         for n in (1, 2, 31, 256, 1024, 4096):
             v = rng.uniform(-1, 1, n + 1)
-            back = values_at_nodes(interpolant_from_values(v))
+            back = inverse_cosine_transform(interpolant_from_values(v).coeffs)
             assert np.max(np.abs(back - v)) < 50 * 2.0 ** -52 * np.max(np.abs(v))
 
     def test_clenshaw_round_trip_small_n(self):
@@ -450,9 +438,21 @@ class TestBarycentric:
             evaluate_barycentric([1.0, 2.0], nodes, 0.0)
 
     def test_rejects_wrong_kind(self):
-        nodes = cheb_points_first_kind(5)
-        with pytest.raises(ValueError):
-            evaluate_barycentric(np.zeros(5), nodes, 0.0)
+        # The weights hold only on cheb_points_second_kind(n, domain), bit
+        # for bit; every other node set is refused.
+        moved = cheb_points_second_kind(4).points.copy()
+        moved[1] = np.nextafter(moved[1], 0.0)
+        for nodes in (
+            cheb_points_first_kind(5),
+            uniform_points(5),
+            legendre_points(5),
+            NodeSet(cheb_points_second_kind(4).points, Domain(-2.0, 2.0)),
+            NodeSet(moved, UNIT),
+        ):
+            with pytest.raises(ValueError, match="nodes must be cheb_points_second_kind"):
+                evaluate_barycentric(np.zeros(5), nodes, 0.0)
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            evaluate_barycentric([1.0], NodeSet([0.0], UNIT), 0.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_points(self, bad):
@@ -614,8 +614,9 @@ class TestTruncate:
         assert np.array_equal(p.coeffs, [1e-3])
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            truncate(ChebInterpolant([1.0], UNIT), 0.0)
+        for tol in (0.0, np.nan):
+            with pytest.raises(ValueError, match="tol_rel must be positive"):
+                truncate(ChebInterpolant([1.0], UNIT), tol)
 
 
 class TestAddition:

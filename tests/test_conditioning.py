@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chebsig import conditioning
-from chebsig.cheb import Domain
+from chebsig.cheb import Domain, cheb_points_second_kind
 from chebsig.conditioning import (
     Basis,
     NumericallySingularError,
@@ -22,8 +22,6 @@ class TestWeights:
 
     def test_integrates_polynomials_exactly(self):
         w = clenshaw_curtis_weights(16)
-        from chebsig.cheb import cheb_points_second_kind
-
         x = cheb_points_second_kind(16).points
         assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
         assert np.sum(w * x ** 2) == pytest.approx(2 / 3, rel=1e-13)
@@ -38,6 +36,26 @@ class TestBuildBasisMatrix:
     def test_linear_monomial_column_norm(self):
         m = build_basis_matrix(Basis.MONOMIAL, UNIT, 1)
         assert np.sum(m[:, 1] ** 2) == pytest.approx(2 / 3, abs=1e-10)
+
+    def test_chebyshev_columns_match_textbook_recurrence(self):
+        # Each column bit for bit as T_k from its own run of the recurrence
+        # T_{k+1} = 2 s T_k - T_{k-1}, then weighted.
+        def textbook(k, s):
+            t_prev, t_cur = np.ones_like(s), s.copy()
+            if k == 0:
+                return t_prev
+            for _ in range(k - 1):
+                t_prev, t_cur = t_cur, 2.0 * s * t_cur - t_prev
+            return t_cur
+
+        for domain in (UNIT, Domain(0.0, 1.0), Domain(-3.7, 12.5)):
+            s = domain.to_unit(cheb_points_second_kind(1023, domain).points)
+            sqrt_w = np.sqrt(clenshaw_curtis_weights(1023) * (domain.width / 2.0))
+            for max_degree in (0, 1, 2, 10, 40):
+                want = np.column_stack([textbook(k, s) for k in range(max_degree + 1)])
+                got = build_basis_matrix(Basis.CHEBYSHEV, domain, max_degree)
+                assert np.array_equal(got.view(np.uint64),
+                                      (want * sqrt_w[:, None]).view(np.uint64))
 
 
 class TestSingularValues:

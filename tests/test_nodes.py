@@ -90,11 +90,11 @@ class TestCompareNodes:
         assert compare_nodes(a, b) == pytest.approx(lo, rel=1e-12)
 
     def test_custom_sets(self):
-        from chebsig.cheb import Domain, NodeKind, NodeSet
+        from chebsig.cheb import Domain, NodeSet
 
         unit = Domain(-1.0, 1.0)
-        a = NodeSet(NodeKind.UNIFORM, [-1.0, 1.0], unit)
-        b = NodeSet(NodeKind.UNIFORM, [-1.0, 0.5], unit)
+        a = NodeSet([-1.0, 1.0], unit)
+        b = NodeSet([-1.0, 0.5], unit)
         assert compare_nodes(a, b) == 0.5
 
     def test_first_kind_value_is_smaller(self):

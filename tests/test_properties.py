@@ -19,7 +19,6 @@ from chebsig.cheb import (
     evaluate_barycentric,
     interpolant_from_values,
     truncate,
-    values_at_nodes,
 )
 from chebsig.fourier import (
     amplitude_spectrum,
@@ -47,9 +46,9 @@ def test_node_mirror_symmetry(n):
 
 @settings(deadline=None, max_examples=60)
 @given(finite_values)
-def test_transform_round_trip(values):
+def test_transform_round_trip(inverse_cosine_transform, values):
     v = np.asarray(values)
-    back = values_at_nodes(interpolant_from_values(v))
+    back = inverse_cosine_transform(interpolant_from_values(v).coeffs)
     scale = max(1.0, np.max(np.abs(v)))
     assert np.max(np.abs(back - v)) < 1e-12 * scale
 
@@ -60,6 +59,34 @@ def test_barycentric_exact_at_every_node(values, pick):
     v = np.asarray(values)
     nodes = cheb_points_second_kind(v.size - 1)
     j = pick % v.size
+    assert evaluate_barycentric(v, nodes, nodes.points[j]) == v[j]
+
+
+_EXTREME_DOMAINS = [
+    Domain(-1e300, 1e300),
+    Domain(1e300, 1.5e300),
+    Domain(1.0, 1.0 + 1e-12),
+    Domain(-1e-310, 1e-310),
+    Domain(-1e-3, 1e9),
+]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=3000),
+       st.one_of(st.builds(lambda a, width: Domain(a / 100, (a + width) / 100),
+                           st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+                           st.integers(min_value=1, max_value=10 ** 4)),
+                 st.sampled_from(_EXTREME_DOMAINS)),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_barycentric_accepts_every_second_kind_grid(n, dom, pick):
+    # The bit-for-bit node check never refuses a grid the library made.
+    try:
+        nodes = cheb_points_second_kind(n, dom)
+    except ValueError as err:
+        assert "too narrow" in str(err)
+        return
+    v = np.cos(np.arange(n + 1.0))
+    j = pick % (n + 1)
     assert evaluate_barycentric(v, nodes, nodes.points[j]) == v[j]
 
 

@@ -94,6 +94,11 @@ class TestGammaVariate:
             GammaParams(shape=0.0, scale=1.0)
         with pytest.raises(ValueError):
             GammaParams(shape=1.0, scale=-2.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GammaParams(shape=bad, scale=1.0)
+            with pytest.raises(ValueError, match="positive and finite"):
+                GammaParams(shape=2.0, scale=bad)
 
 
 class TestUnevenGrid:
@@ -130,6 +135,11 @@ class TestUnevenGrid:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             uneven_grid(10, 1.0, 0, mode="shuffled")
+
+    def test_rejects_bad_span(self):
+        for span in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="span must be positive and finite"):
+                uneven_grid(5, span, 0)
 
 
 class TestAddNoise:
