@@ -122,8 +122,8 @@ def uneven_grid(count: int, span: float, seed: int, mode: str = "sorted") -> np.
 
 def add_noise(signal: Signal, sigma: float, seed: int) -> Signal:
     """Add absolute Gaussian noise sigma * N(0, 1) to the sample values."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and >= 0")
     if sigma == 0:
         return signal
     rng = np.random.default_rng(seed)
@@ -136,8 +136,8 @@ def moving_average(signal: Signal, window: int) -> Signal:
     y'[k] = mean(y[k-w+1 .. k]) with zeros before the start, which carries
     an inherent lag of (w-1)/2 samples.  Output length equals input length.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    if not isinstance(window, (int, np.integer)) or window < 1:
+        raise ValueError("window must be an integer >= 1")
     kernel = np.full(window, 1.0 / window)
     smoothed = np.convolve(signal.y, kernel, mode="full")[: len(signal)]
     return Signal(signal.t, smoothed)

@@ -29,6 +29,16 @@ class TestWeights:
 
 
 class TestBuildBasisMatrix:
+    def test_trig_identity_sweep(self):
+        # The Chebyshev columns of the basis matrix, unweighted, are T_k
+        # on its 1024-point second-kind grid.
+        x = cheb_points_second_kind(1023).points
+        sqrt_w = np.sqrt(clenshaw_curtis_weights(1023))
+        cols = build_basis_matrix(Basis.CHEBYSHEV, UNIT, 100) / sqrt_w[:, None]
+        for k in (1, 3, 10, 37, 100):
+            ref = np.cos(k * np.arccos(x))
+            assert np.max(np.abs(cols[:, k] - ref)) < 1e-12
+
     def test_constant_column_norm(self):
         m = build_basis_matrix(Basis.CHEBYSHEV, UNIT, 0)
         assert np.sum(m[:, 0] ** 2) == pytest.approx(2.0, abs=1e-10)

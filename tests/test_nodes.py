@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chebsig import nodes
-from chebsig.cheb import _BLOCK_ELEMENTS, cheb_points_first_kind, cheb_points_second_kind
+from chebsig.cheb import cheb_points_first_kind, cheb_points_second_kind
 from chebsig.nodes import (
     compare_nodes,
     legendre_points,
@@ -107,25 +107,7 @@ class TestCompareNodes:
             compare_nodes(cheb_points_second_kind(5), legendre_points(5))
 
 
-def _one_matrix_mean_distance(pts):
-    """mean_distance over the whole N x N matrix at once: the bit-identity
-    reference for its blocks of rows."""
-    diff = np.abs(pts[:, None] - pts)
-    np.fill_diagonal(diff, 1.0)
-    np.log(diff, out=diff)
-    return np.exp(diff.sum(axis=1) / (pts.size - 1))
-
-
 class TestMeanDistance:
-    @pytest.mark.parametrize("count", [1000, 3001])
-    def test_blocks_keep_the_bits_of_one_matrix(self, count):
-        assert count > 2 * (_BLOCK_ELEMENTS // count)  # several blocks, the last one short
-        rng = np.random.default_rng(count)
-        for pts in (cheb_points_second_kind(count - 1).points,
-                    rng.permutation(np.unique(rng.uniform(-1e3, 1e3, count)))):
-            got, want = mean_distance(pts), _one_matrix_mean_distance(pts)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
     def test_rejects_duplicates_in_different_blocks(self):
         pts = np.linspace(-1.0, 1.0, 1000)
         pts[900] = pts[5]
@@ -182,10 +164,3 @@ class TestSmallestNonzeroMidpoint:
         x = math.cos(math.pi / 2)
         assert x != 0.0
         assert abs(x - 6.123233995736766e-17) < 1e-30
-
-    def test_postcondition_restated(self):
-        n = smallest_nonzero_midpoint()
-        assert n % 2 == 0
-        assert math.cos((n // 2) * math.pi / n) != 0.0
-        for smaller in range(2, n, 2):
-            assert math.cos((smaller // 2) * math.pi / smaller) == 0.0

@@ -147,6 +147,12 @@ class TestAddNoise:
         s = Signal([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         assert add_noise(s, 0.0, 99) is s
 
+    def test_rejects_bad_sigma(self):
+        s = Signal([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        for sigma in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+                add_noise(s, sigma, 0)
+
     def test_deterministic(self):
         s = Signal(np.arange(10.0), np.zeros(10))
         a = add_noise(s, 0.02, seed=11)
@@ -188,13 +194,10 @@ class TestMovingAverage:
 
     def test_window_validation(self):
         s = Signal([0.0, 1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            moving_average(s, 0)
-
-    def test_dc_gain_is_one(self):
-        s = Signal(np.arange(50.0), np.full(50, 7.25))
-        out = moving_average(s, 5)
-        assert np.allclose(out.y[4:], 7.25, rtol=1e-15)
+        for window in (0, 2.5, 5.0, math.nan):
+            with pytest.raises(ValueError, match="window must be an integer >= 1"):
+                moving_average(s, window)
+        assert np.array_equal(moving_average(s, np.int64(3)).y, moving_average(s, 3).y)
 
     def test_rms_improvement_across_seeds(self):
         t = np.linspace(0.0, 3 * np.pi, 301)
