@@ -41,7 +41,6 @@ from .fourier import (
     UnevenSpacingError,
     amplitude_spectrum,
     resample_spectral,
-    trig_cardinal,
     trig_interpolate,
 )
 from .nodes import (

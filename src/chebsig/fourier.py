@@ -1,7 +1,8 @@
 """Trigonometric interpolation of evenly sampled signals.
 
 Covers zero-padded spectral resampling (upsampling a signal through its
-spectrum), the explicit periodic cardinal function, and amplitude spectra.
+spectrum), evaluation of the periodic trigonometric interpolant at any
+points by the barycentric trigonometric formula, and amplitude spectra.
 Samples come as a :class:`~chebsig.signals.Signal`, whose derived ``step``
 says whether its grid is even; every function here raises
 :class:`UnevenSpacingError` on an uneven grid, since the constructions are
@@ -12,12 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cheb import _overflow_scale, _row_blocks
 from .signals import Signal
 
 __all__ = [
     "UnevenSpacingError",
     "resample_spectral",
-    "trig_cardinal",
     "trig_interpolate",
     "amplitude_spectrum",
 ]
@@ -78,38 +79,35 @@ def resample_spectral(signal: Signal, new_count: int) -> Signal:
     return Signal(signal.t[0] + (step * n / new_count) * np.arange(new_count), out.real)
 
 
-def trig_cardinal(x, n: int):
-    """Periodic cardinal function tau for N uniform nodes of spacing 2/N.
-
-    tau(0) = 1 and tau vanishes at the other node offsets 2j/N.  Odd N uses
-    sin(N pi x/2) / (N sin(pi x/2)); even N replaces the denominator sine
-    with a tangent.  The function has period 2, and the removable
-    singularities at even integer x take the limit value 1.
-    """
-    if n < 2:
-        raise ValueError("need N >= 2 nodes")
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if n % 2:
-            tau = np.sin(n * np.pi * x / 2) / (n * np.sin(np.pi * x / 2))
-        else:
-            tau = np.sin(n * np.pi * x / 2) / (n * np.tan(np.pi * x / 2))
-    tau = np.where(np.mod(x, 2.0) == 0.0, 1.0, tau)
-    return tau if tau.ndim else float(tau)
-
-
 def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     """Trigonometric interpolant through uniform samples, at query points.
 
-    The sample grid spacing is rescaled to the cardinal function's native
-    2/N, which implicitly periodizes the data with period N*spacing.
+    The data are periodized with period N * step.  With theta = pi (x - x_0)
+    / (N step), and theta_k the same on the sample abscissae, this is the
+    second (true) barycentric trigonometric form (Henrici 1979; Berrut
+    1984)::
+
+        t(x) = sum (-1)^k y_k g(theta - theta_k) / sum (-1)^k g(theta - theta_k)
+
+    with g = csc for odd N and cot for even N.  sin(theta - theta_k) and
+    cos(theta - theta_k) come by angle addition from one sine and cosine
+    per query and per node.  A query whose denominator is not finite (a
+    sine difference is 0, as on a sample) gets the sample whose
+    |sin(theta - theta_k)| is least: on a sample, that sample, bit for bit.
+
+    As in ``cheb.evaluate_barycentric``, the samples are scaled once by a
+    power of two, so the sums overflow only where the interpolant does,
+    and the queries are taken a block of rows at a time with row-local
+    sums, so memory is O(block) and each query gets the same bits whatever
+    else shares the call.
 
     Raises
     ------
     UnevenSpacingError
         If sample_x is not uniformly spaced to within ``signals.EVEN_RTOL``.
     ValueError
-        If a query point is not finite.
+        If a query point is not finite or its phase theta overflows, or the
+        interpolant value overflows.
     """
     samples = Signal(sample_x, sample_y)
     step = _even_step(samples)
@@ -117,13 +115,43 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     xq = np.asarray(query_x, dtype=float)
     if not np.all(np.isfinite(xq)):
         raise ValueError("points must be finite")
-    scale = step / (2.0 / n)
-    xs_u = xs / scale
-    xq_u = np.atleast_1d(xq) / scale
-    out = np.zeros(xq_u.shape)
-    for k in range(n):
-        out += ys[k] * trig_cardinal(xq_u - xs_u[k], n)
-    return out if xq.ndim else float(out[0])
+    shape = xq.shape
+    xq = xq.ravel()
+
+    rate = np.pi / (n * step)
+    theta_k = (xs - xs[0]) * rate
+    with np.errstate(over="ignore"):
+        theta = (xq - xs[0]) * rate
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("points too far from the samples: their phase overflows")
+    sq, cq = np.sin(theta), np.cos(theta)
+    # The node sines and cosines carry (-1)^k, so a block row of
+    # sq * ck_signed - cq * sk_signed holds (-1)^k sin(theta - theta_k).
+    sign = np.ones(n)
+    sign[1::2] = -1.0
+    sk, ck = np.sin(theta_k), np.cos(theta_k)
+    sk_signed, ck_signed = sign * sk, sign * ck
+    # ys * scale keeps each numerator finite where its den is.
+    scale = _overflow_scale(ys)
+    ys_scaled = ys * scale
+    out = np.empty(xq.size)
+    for rows, g in _row_blocks(xq.size, n):
+        s, c = sq[rows, None], cq[rows, None]
+        np.multiply(s, ck_signed, out=g)
+        g -= c * sk_signed
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if n % 2:
+                np.divide(1.0, g, out=g)
+            else:
+                np.divide(c * ck + s * sk, g, out=g)
+            den = np.sum(g, axis=1)
+            block = np.vecdot(g, ys_scaled) / den / scale
+        snap = ~np.isfinite(den)
+        block[snap] = ys[np.argmin(np.abs(s[snap] * ck - c[snap] * sk), axis=1)]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("the interpolant value overflows")
+        out[rows] = block
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def amplitude_spectrum(signal: Signal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,7 +7,6 @@ from chebsig.fourier import (
     UnevenSpacingError,
     amplitude_spectrum,
     resample_spectral,
-    trig_cardinal,
     trig_interpolate,
 )
 from chebsig.signals import Signal
@@ -20,6 +19,22 @@ def direct_dft(values):
     k = np.arange(n)
     phase = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return phase @ v
+
+
+def dft_interpolant(xs, ys, xq):
+    """The trigonometric interpolant as an explicit sum of its N Fourier
+    modes, period N * step: the independent reference for trig_interpolate.
+    For even N the Nyquist mode is the cosine, the real half of the pair
+    the split Nyquist bin gives."""
+    n = len(xs)
+    coef = direct_dft(ys) / n
+    modes = np.arange(n)
+    modes[modes > n // 2] -= n
+    phase = (2 * np.pi / (n * (xs[-1] - xs[0]) / (n - 1))) * (np.asarray(xq)[:, None] - xs[0])
+    terms = coef * np.exp(1j * modes * phase)
+    if n % 2 == 0:
+        terms[:, n // 2] = coef[n // 2].real * np.cos(n // 2 * phase[:, 0])
+    return terms.sum(axis=1).real
 
 
 def unit_grid(values):
@@ -102,20 +117,42 @@ class TestResampleSpectral:
 
 
 class TestTrigCardinal:
-    def test_unity_at_period_images(self):
-        for n in (4, 5):
-            assert trig_cardinal(2.0, n) == 1.0
-            assert trig_cardinal(-4.0, n) == 1.0
+    """The cardinal function tau_k is trig_interpolate of the unit vector e_k;
+    on nodes of spacing 2/N it has period 2 and the closed form
+    sin(N pi u / 2) / (N sin(pi u / 2)), tangent in place of the denominator
+    sine for even N, with u = x - x_k."""
+
+    @staticmethod
+    def closed_form_check(parity):
+        worst = 0.0
+        for n in range(2 + (parity == "odd"), 65, 2):
+            xs = 2.0 * np.arange(n) / n
+            x = np.linspace(0.0, 2.0, 397, endpoint=False)
+            for k in range(n):
+                u = x - xs[k]
+                u[u > 1.0] -= 2.0  # into (-1, 1], where the closed form is well conditioned
+                den = np.sin(np.pi * u / 2) if n % 2 else np.tan(np.pi * u / 2)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    tau = np.where(u == 0.0, 1.0, np.sin(n * np.pi * u / 2) / (n * den))
+                got = trig_interpolate(xs, np.eye(n)[k], x)
+                worst = max(worst, np.max(np.abs(got - tau)))
+        assert worst < 1e-13
 
     def test_direct_formula_value(self):
-        x = 0.37
-        expected = math.sin(5 * math.pi * x / 2) / (5 * math.sin(math.pi * x / 2))
-        assert trig_cardinal(x, 5) == pytest.approx(expected, rel=1e-15)
+        self.closed_form_check("odd")
 
     def test_even_n_uses_tangent_form(self):
-        x = 0.37
-        expected = math.sin(6 * math.pi * x / 2) / (6 * math.tan(math.pi * x / 2))
-        assert trig_cardinal(x, 6) == pytest.approx(expected, rel=1e-15)
+        self.closed_form_check("even")
+
+    def test_delta_at_period_images(self):
+        # At x_k + 2m the interpolant of e_j is 1 for j = k and 0 otherwise.
+        for n in range(2, 65):
+            xs = 2.0 * np.arange(n) / n
+            images = np.concatenate([xs + 2.0 * m for m in (-3, -2, -1, 1, 2, 3)])
+            for k in range(n):
+                e = np.eye(n)[k]
+                got = trig_interpolate(xs, e, images)
+                assert np.max(np.abs(got - np.tile(e, 6))) < 1e-13, (n, k)
 
 
 class TestTrigInterpolate:
@@ -145,6 +182,43 @@ class TestTrigInterpolate:
         y = np.sin(2 * np.pi * t)
         val = trig_interpolate(t, y, 0.31)
         assert val == pytest.approx(math.sin(2 * math.pi * 0.31), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 30, 31, 64, 101])
+    def test_matches_dft_sum_inside_and_periods_outside(self, n):
+        # The data are periodized with period N * step, so queries up to 3
+        # periods outside the span, and the periodic images of the nodes,
+        # follow the same sum as queries inside it.
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(-5.0, 5.0) + rng.uniform(0.05, 1.0) * np.arange(n)
+        ys = rng.standard_normal(n)
+        period = n * (xs[-1] - xs[0]) / (n - 1)
+        images = np.concatenate([xs + m * period for m in (-3, -2, -1, 1, 2, 3)])
+        xq = np.concatenate([
+            rng.uniform(xs[0], xs[-1], 500),
+            rng.uniform(xs[0] - 3 * period, xs[-1] + 3 * period, 1500),
+            images,
+        ])
+        got = trig_interpolate(xs, ys, xq)
+        assert np.max(np.abs(got - dft_interpolant(xs, ys, xq))) <= 1e-12 * np.max(np.abs(ys))
+
+    def test_samples_near_the_float_limit(self):
+        # The samples are scaled by a power of two before the sums, so a
+        # value that fits comes back although the unscaled sums overflow.
+        ys = np.array([1e308, -1e308, 1e308])
+        got = trig_interpolate([0.0, 1.0, 2.0], ys, 0.5)
+        want = 1e308 * dft_interpolant(np.arange(3.0), ys * 1e-308, [0.5])[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_value_that_does_not_fit_raises(self):
+        # The interpolant of these samples is about 2.8e308 at 0.5.
+        with pytest.raises(ValueError, match="the interpolant value overflows"):
+            trig_interpolate([0.0, 1.0, 2.0], [1.7e308, 1.7e308, -1.7e308], 0.5)
+
+    def test_rejects_a_point_whose_phase_overflows(self):
+        # pi (x - x_0) / (N step) is about 1e309 at x = 1e307.
+        t = 1e-3 * np.arange(31)
+        with pytest.raises(ValueError, match="their phase overflows"):
+            trig_interpolate(t, np.sin(t), [0.0, 1e307])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_points(self, bad):

@@ -23,7 +23,6 @@ from chebsig.cheb import (
 from chebsig.fourier import (
     amplitude_spectrum,
     resample_spectral,
-    trig_cardinal,
     trig_interpolate,
 )
 from chebsig.nodes import mean_distance
@@ -139,21 +138,27 @@ def test_nodes_on_two_decimal_domains(a, width, n, kind):
 
 
 def test_cardinal_delta():
+    # The interpolant of the unit vector e_k is 1 at node k and 0 at the
+    # other nodes, bit for bit.
     for n in range(2, 65):
-        offsets = 2.0 * np.arange(1, n) / n
-        tau = trig_cardinal(offsets, n)
-        assert np.max(np.abs(tau)) < 1e-13, n
-        assert trig_cardinal(0.0, n) == 1.0, n
+        t = 2.0 * np.arange(n) / n
+        for e in np.eye(n):
+            assert np.array_equal(trig_interpolate(t, e, t), e), n
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=10 ** 6))
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10 ** 6))
 def test_trig_interpolation_exact_at_samples(n, seed):
+    # Every query shape returns the samples bit for bit on the nodes.
     rng = np.random.default_rng(seed)
     t = 1.5 + 0.25 * np.arange(n)
     y = rng.uniform(-1, 1, n)
-    out = trig_interpolate(t, y, t)
-    assert np.max(np.abs(out - y)) < 1e-12
+    assert np.array_equal(trig_interpolate(t, y, t), y)
+    k = int(rng.integers(n))
+    assert trig_interpolate(t, y, t[k]) == y[k]
+    order = rng.permutation(n)
+    grid = np.stack([t, t[order]])
+    assert np.array_equal(trig_interpolate(t, y, grid), np.stack([y, y[order]]))
 
 
 @settings(deadline=None, max_examples=40)
@@ -516,6 +521,48 @@ def test_barycentric_memory_is_bounded_by_the_block():
     tracemalloc.start()
     try:
         evaluate_barycentric(v, nodes, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.integers(min_value=2, max_value=300), st.just(2 ** 15 + 6)),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=2, max_value=4))
+def test_trig_query_bits_do_not_depend_on_the_batch(n, seed, blocks):
+    # As for evaluate_barycentric: the same bits alone, in the full batch
+    # and in a shuffled sub-batch.  At n = 2^15 + 6 every row is a block.
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-5.0, 5.0) + rng.uniform(0.01, 1.0) * np.arange(n)
+    y = rng.standard_normal(n)
+    period = n * (t[-1] - t[0]) / (n - 1)
+    rows = max(cheb._BLOCK_ELEMENTS // n, 1)
+    size = blocks * rows + int(rng.integers(0, rows))
+    pick = rng.integers(0, n, size)
+    x = np.choose(rng.integers(0, 4, size), [
+        t[pick],
+        np.nextafter(t[pick], np.inf),
+        rng.uniform(t[0], t[-1], size),
+        t[pick] + period * rng.integers(-3, 4, size),
+    ])
+    got = _bits(trig_interpolate(t, y, x))
+    for i in rng.integers(0, size, 8):
+        assert _bits(trig_interpolate(t, y, x[i])) == got[i]
+    sub = rng.permutation(size)[: int(rng.integers(1, size + 1))]
+    assert np.array_equal(_bits(trig_interpolate(t, y, x[sub])), got[sub])
+
+
+def test_trig_memory_is_bounded_by_the_block():
+    # One queries x samples matrix of this size would take 305 MiB.
+    rng = np.random.default_rng(20000)
+    t = np.arange(2000.0)
+    y = rng.standard_normal(2000)
+    x = rng.uniform(-2000.0, 4000.0, 20000)
+    tracemalloc.start()
+    try:
+        trig_interpolate(t, y, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
