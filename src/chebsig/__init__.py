@@ -3,7 +3,7 @@
 Library layers:
 
 - :mod:`chebsig.cheb` — Chebyshev nodes, series, evaluation, calculus.
-- :mod:`chebsig.fourier` — spectral resampling, cardinal interpolation, spectra.
+- :mod:`chebsig.fourier` — spectral resampling, trigonometric interpolation, spectra.
 - :mod:`chebsig.nodes` — Legendre points, node comparisons, probes.
 - :mod:`chebsig.conditioning` — basis quasimatrix singular values.
 - :mod:`chebsig.signals` — gamma-variate signals, noise, filtering.

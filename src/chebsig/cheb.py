@@ -56,6 +56,35 @@ def _row_blocks(count: int, width: int):
         yield rows, buf[: rows.stop - start]
 
 
+def _barycentric_rows(values: np.ndarray, count: int, fill, distance) -> np.ndarray:
+    """Rows 0..count-1 of the barycentric quotient sum_k g_k v_k / sum_k g_k.
+
+    ``fill(rows, g)`` writes the weight quotients of a slice of rows into
+    the block g.  Blocks come from ``_row_blocks``, so memory is O(block),
+    and both sums of a row (``np.sum``, ``np.vecdot``) are row-local, so a
+    row gets the same bits whatever else shares the call.  The values are
+    scaled once by ``_overflow_scale``, which keeps each numerator finite
+    where its sum of g is.  A row whose sum of g is not finite (on a node,
+    or ulps from one) gets ``values[argmin(distance(i))]``, ``distance(i)``
+    giving rows i's distances to the nodes: on a node, its value bit for
+    bit.  Any other non-finite row raises ValueError.
+    """
+    scale = _overflow_scale(values)
+    scaled = values * scale
+    out = np.empty(count)
+    for rows, g in _row_blocks(count, values.size):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fill(rows, g)
+            den = np.sum(g, axis=1)
+            block = np.vecdot(g, scaled) / den / scale
+        snap = np.flatnonzero(~np.isfinite(den))
+        block[snap] = values[np.argmin(distance(rows.start + snap), axis=1)]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("the interpolant value overflows")
+        out[rows] = block
+    return out
+
+
 class UnresolvedFunctionError(RuntimeError):
     """Adaptive construction hit the largest grid without resolving.
 
@@ -492,13 +521,8 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     bit-exactly on a node.  Outside [a, b], where that sum cancels (Webb,
     Trefethen & Gonnet 2012): Clenshaw on ``interpolant_from_values(values,
     domain)``, the same polynomial.  Non-finite points or values, and
-    overflowing values, raise ValueError.
-
-    The inside queries are taken a block of rows at a time in one buffer of
-    about ``_BLOCK_ELEMENTS`` floats, so memory is O(block), not
-    O(queries x nodes).  Both sums of a row (``np.sum`` and ``np.vecdot``)
-    are row-local, so each query gets the same bits whatever else shares
-    the call.
+    overflowing values, raise ValueError.  ``_barycentric_rows`` takes the
+    inside queries: memory O(block), each query's bits batch-independent.
 
     Parameters
     ----------
@@ -531,26 +555,17 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     w[1::2] = -1.0
     w[0] *= 0.5
     w[-1] *= 0.5
-    # v * scale keeps each numerator finite where its den is.
-    scale = _overflow_scale(v)
-    vs = v * scale
-    out = np.empty(xq.shape)
     inside = (xq >= dom.a) & (xq <= dom.b)
     at = np.flatnonzero(inside)
-    for rows, ratio in _row_blocks(at.size, pts.size):
-        idx = at[rows]
-        xb = xq[idx, None]
-        np.subtract(xb, pts, out=ratio)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(w, ratio, out=ratio)
-            den = np.sum(ratio, axis=1)
-            block = np.vecdot(ratio, vs) / den / scale
-        snap = ~np.isfinite(den)
-        block[snap] = v[np.argmin(np.abs(xb[snap] - pts), axis=1)]
-        if not np.all(np.isfinite(block)):
-            raise ValueError("the interpolant value overflows")
-        out[idx] = block
+
+    def fill(rows, ratio):
+        np.subtract(xq[at[rows], None], pts, out=ratio)
+        np.divide(w, ratio, out=ratio)
+
+    out = _barycentric_rows(v, at.size, fill, lambda i: np.abs(xq[at[i], None] - pts))
     if at.size < xq.size:
+        inner, out = out, np.empty(xq.shape)
+        out[at] = inner
         out[~inside] = evaluate(interpolant_from_values(v, dom), xq[~inside])
     return float(out[0]) if not shape else out.reshape(shape)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cheb import _overflow_scale, _row_blocks
+from .cheb import _barycentric_rows, _overflow_scale
 from .signals import Signal
 
 __all__ = [
@@ -45,20 +45,23 @@ def resample_spectral(signal: Signal, new_count: int) -> Signal:
     half, keeping the result real) and transformed back, scaled by
     new_count/N.  The output grid starts at the same point with step
     ``step * N / new_count``; the underlying trigonometric interpolant
-    passes through every input sample.
+    passes through every input sample.  The transforms run on the samples
+    scaled by ``cheb._overflow_scale``, so they overflow only where the
+    result does.
 
     Raises
     ------
     UnevenSpacingError
         If the signal's grid is not even.
     ValueError
-        If new_count < len(signal).
+        If new_count < len(signal), or a resampled value overflows.
     """
     step = _even_step(signal)
     n = len(signal)
     if new_count < n:
         raise ValueError(f"new_count {new_count} < signal length {n}")
-    spec = np.fft.fft(signal.y)
+    scale = _overflow_scale(signal.y)
+    spec = np.fft.fft(signal.y * scale)
     padded = np.zeros(new_count, dtype=complex)
     if n % 2:
         h = (n + 1) // 2
@@ -73,10 +76,15 @@ def resample_spectral(signal: Signal, new_count: int) -> Signal:
         padded[new_count - h + 1:] = spec[h + 1:]
     out = np.fft.ifft(padded) * (new_count / n)
     residue = np.max(np.abs(out.imag))
-    tol = 1e-10 * max(1.0, np.max(np.abs(out.real)))
+    # 1e-10 max(1, max|out|) in the units of the unscaled samples.
+    tol = 1e-10 * max(scale, np.max(np.abs(out.real)))
     if residue >= tol:
-        raise ValueError(f"imaginary residue {residue:.3e} after resampling")
-    return Signal(signal.t[0] + (step * n / new_count) * np.arange(new_count), out.real)
+        raise ValueError(f"imaginary residue {residue / scale:.3e} after resampling")
+    with np.errstate(over="ignore"):
+        y = out.real / scale
+    if not np.all(np.isfinite(y)):
+        raise ValueError("the resampled values overflow")
+    return Signal(signal.t[0] + (step * n / new_count) * np.arange(new_count), y)
 
 
 def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
@@ -91,15 +99,9 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
 
     with g = csc for odd N and cot for even N.  sin(theta - theta_k) and
     cos(theta - theta_k) come by angle addition from one sine and cosine
-    per query and per node.  A query whose denominator is not finite (a
-    sine difference is 0, as on a sample) gets the sample whose
-    |sin(theta - theta_k)| is least: on a sample, that sample, bit for bit.
-
-    As in ``cheb.evaluate_barycentric``, the samples are scaled once by a
-    power of two, so the sums overflow only where the interpolant does,
-    and the queries are taken a block of rows at a time with row-local
-    sums, so memory is O(block) and each query gets the same bits whatever
-    else shares the call.
+    per query and per node.  The sums are taken by
+    ``cheb._barycentric_rows`` (blocks, scaling and the snap rule), with
+    |sin(theta - theta_k)| as the distance to a sample.
 
     Raises
     ------
@@ -131,36 +133,33 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     sign[1::2] = -1.0
     sk, ck = np.sin(theta_k), np.cos(theta_k)
     sk_signed, ck_signed = sign * sk, sign * ck
-    # ys * scale keeps each numerator finite where its den is.
-    scale = _overflow_scale(ys)
-    ys_scaled = ys * scale
-    out = np.empty(xq.size)
-    for rows, g in _row_blocks(xq.size, n):
+
+    def fill(rows, g):
         s, c = sq[rows, None], cq[rows, None]
         np.multiply(s, ck_signed, out=g)
         g -= c * sk_signed
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if n % 2:
-                np.divide(1.0, g, out=g)
-            else:
-                np.divide(c * ck + s * sk, g, out=g)
-            den = np.sum(g, axis=1)
-            block = np.vecdot(g, ys_scaled) / den / scale
-        snap = ~np.isfinite(den)
-        block[snap] = ys[np.argmin(np.abs(s[snap] * ck - c[snap] * sk), axis=1)]
-        if not np.all(np.isfinite(block)):
-            raise ValueError("the interpolant value overflows")
-        out[rows] = block
+        np.divide(1.0 if n % 2 else c * ck + s * sk, g, out=g)
+
+    out = _barycentric_rows(
+        ys, xq.size, fill, lambda i: np.abs(sq[i, None] * ck - cq[i, None] * sk)
+    )
     return float(out[0]) if not shape else out.reshape(shape)
 
 
 def amplitude_spectrum(signal: Signal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """DFT ``(frequencies, amplitudes, phases)``: frequencies k/(N*step) for
-    k = 0..N-1, amplitudes |X_k| and phases arg X_k in (-pi, pi]."""
+    k = 0..N-1, amplitudes |X_k| and phases arg X_k in (-pi, pi].  The FFT
+    runs on the samples scaled by ``cheb._overflow_scale``; an amplitude
+    that overflows raises ValueError."""
     step = _even_step(signal)
     n = len(signal)
-    spec = np.fft.fft(signal.y)
+    scale = _overflow_scale(signal.y)
+    spec = np.fft.fft(signal.y * scale)
     freqs = np.arange(n) / (n * step)
     phases = np.angle(spec)
     phases[phases <= -np.pi] += 2 * np.pi  # keep within (-pi, pi]
-    return freqs, np.abs(spec), phases
+    with np.errstate(over="ignore"):
+        amps = np.abs(spec) / scale
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("the spectrum amplitudes overflow")
+    return freqs, amps, phases

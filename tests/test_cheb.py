@@ -19,6 +19,7 @@ from chebsig.cheb import (
     min_and_max,
     truncate,
 )
+from chebsig.fourier import trig_interpolate
 from chebsig.nodes import legendre_points, uniform_points
 
 UNIT = Domain(-1.0, 1.0)
@@ -370,15 +371,30 @@ class TestBarycentric:
         clen = evaluate(interpolant_from_values(v), x)
         assert np.max(np.abs(bary - clen)) < 1e-12 * np.max(np.abs(v))
 
-    def test_keeps_the_query_shape(self):
-        # Rows as long as the node vector must not be broadcast against it.
+    @pytest.mark.parametrize("kernel", ["evaluate_barycentric", "trig_interpolate"])
+    def test_keeps_the_query_shape(self, kernel):
+        # Rows as long as the node vector must not be broadcast against it,
+        # and a call whose kernel gets no rows (empty, or for
+        # evaluate_barycentric all outside [-1, 1]) keeps the shape too.
         nodes = cheb_points_second_kind(2)
         v = np.array([1.0, 2.0, 5.0])
+        if kernel == "evaluate_barycentric":
+            run = lambda x: evaluate_barycentric(v, nodes, x)
+        else:
+            run = lambda x: trig_interpolate([-1.0, 0.0, 1.0], v, x)
         x = np.array([[0.1, 0.2, 0.3], [-0.5, 0.5, 1.5]])
-        got = evaluate_barycentric(v, nodes, x)
-        assert got.shape == (2, 3)
-        assert np.array_equal(got, evaluate_barycentric(v, nodes, x.ravel()).reshape(2, 3))
-        assert np.allclose(got, evaluate(interpolant_from_values(v), x), rtol=1e-14)
+        outside = np.array([[1.5, -2.0], [3.25, -1.25]])
+        for q in (x, outside, [], np.zeros((0, 3))):
+            got = run(q)
+            assert got.shape == np.shape(q)
+            assert np.array_equal(got, run(np.ravel(q)).reshape(np.shape(q)))
+        if kernel == "evaluate_barycentric":
+            clenshaw = interpolant_from_values(v)
+            assert np.allclose(run(x), evaluate(clenshaw, x), rtol=1e-14)
+            assert np.array_equal(run(outside), evaluate(clenshaw, outside))
+        else:
+            # Period 3: the images of x give x's values.
+            assert np.allclose(run(x + 3.0), run(x), rtol=1e-13)
 
     def test_rejects_mismatched_lengths(self):
         nodes = cheb_points_second_kind(4)

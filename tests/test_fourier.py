@@ -106,6 +106,20 @@ class TestResampleSpectral:
             ref = trig_interpolate(t, y, dense.t)
             assert np.max(np.abs(dense.y - ref)) < 1e-8
 
+    def test_samples_near_the_float_limit(self):
+        # The transforms run on the samples scaled by a power of two, so a
+        # result that fits comes back although the unscaled FFT overflows.
+        for ys in ([1e308, -1e308, 1e308], [1e308, -1e308, 1e308, -0.5e308]):
+            t = np.arange(len(ys), dtype=float)
+            out = resample_spectral(Signal(t, ys), 4 * len(ys))
+            want = trig_interpolate(t, ys, out.t)
+            assert np.max(np.abs(out.y - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_result_that_does_not_fit_raises(self):
+        # The interpolant of these samples is about 2.8e308 at 0.5.
+        with pytest.raises(ValueError, match="the resampled values overflow"):
+            resample_spectral(Signal(np.arange(3.0), [1.7e308, 1.7e308, -1.7e308]), 6)
+
     def test_rejects_downsampling(self):
         with pytest.raises(ValueError):
             resample_spectral(gamma_signal(), 30)
@@ -252,6 +266,16 @@ class TestAmplitudeSpectrum:
         _, _, phases = amplitude_spectrum(unit_grid(rng.standard_normal(64)))
         assert np.all(phases > -np.pi)
         assert np.all(phases <= np.pi)
+
+    def test_samples_near_the_float_limit(self):
+        # The FFT runs on the samples scaled by a power of two: an amplitude
+        # that fits comes back exactly, and one that does not (4e308 at
+        # Nyquist) raises instead of giving inf, and nan at DC.
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        _, amps, _ = amplitude_spectrum(unit_grid(2.5e307 * y))
+        assert np.array_equal(amps, [0.0, 0.0, 4 * 2.5e307, 0.0])
+        with pytest.raises(ValueError, match="the spectrum amplitudes overflow"):
+            amplitude_spectrum(unit_grid(1e308 * y))
 
     def test_rejects_uneven_signal(self):
         t = np.array([0.0, 1.0, 2.5, 3.0])

@@ -554,6 +554,64 @@ def test_trig_query_bits_do_not_depend_on_the_batch(n, seed, blocks):
     assert np.array_equal(_bits(trig_interpolate(t, y, x[sub])), got[sub])
 
 
+def _textbook_trig(sample_x, sample_y, x):
+    """Barycentric trigonometric interpolation (Henrici 1979) with the full
+    queries x samples matrix, an explicit exact-sample scan and a snap of
+    every other non-finite row to its nearest sample: the bit-identity
+    reference for trig_interpolate.  The samples are scaled by a power of
+    two taking max|y| below 1, so the sums overflow only where the value
+    does."""
+    samples = Signal(sample_x, sample_y)
+    xs, ys, n = samples.t, samples.y, len(samples)
+    rate = np.pi / (n * samples.step)
+    theta = (np.atleast_1d(np.asarray(x, dtype=float)) - xs[0]) * rate
+    theta_k = (xs - xs[0]) * rate
+    sq, cq = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    sk, ck = np.sin(theta_k), np.cos(theta_k)
+    sign = (-1.0) ** np.arange(n)
+    sin_diff = sq * (sign * ck) - cq * (sign * sk)  # (-1)^k sin(theta - theta_k)
+    exact_q, exact_k = np.nonzero(sin_diff == 0.0)
+    scale = 2.0 ** -max(math.frexp(np.max(np.abs(ys)))[1], 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = 1.0 / sin_diff if n % 2 else (cq * ck + sq * sk) / sin_diff
+        out = np.vecdot(g, ys * scale) / np.sum(g, axis=1) / scale
+    out[exact_q] = ys[exact_k]
+    bad = np.nonzero(~np.isfinite(out))[0]
+    out[bad] = ys[np.argmin(np.abs(sin_diff[bad]), axis=1)]
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=150),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(["on", "next", "inside", "images", "mix"]),
+       st.booleans(),
+       st.booleans())
+def test_trig_is_bit_identical_to_textbook_form(parity, half, seed, where, huge, scalar):
+    n = 2 * half + parity
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-5.0, 5.0) + rng.uniform(0.01, 1.0) * np.arange(n)
+    # Samples up to 1e307 leave room for the interpolant (Lebesgue constant
+    # below 5 here) but overflow the unscaled sums.
+    y = rng.uniform(-1e307, 1e307, n) if huge else rng.standard_normal(n)
+    period = n * Signal(t, y).step
+    pick = rng.integers(0, n, 16)
+    queries = {
+        "on": t[pick],
+        "next": np.nextafter(t[pick], np.where(pick % 2, np.inf, -np.inf)),
+        "inside": rng.uniform(t[0], t[-1], 16),
+        "images": t[pick] + period * rng.integers(-3, 4, 16),
+    }
+    queries["mix"] = np.concatenate(list(queries.values()))
+    x = queries[where]
+    if scalar:
+        x = float(x[0])
+    got, want = trig_interpolate(t, y, x), _textbook_trig(t, y, x)
+    assert type(got) is type(want)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_trig_memory_is_bounded_by_the_block():
     # One queries x samples matrix of this size would take 305 MiB.
     rng = np.random.default_rng(20000)
