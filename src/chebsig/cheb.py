@@ -480,12 +480,23 @@ def _sample(f: Callable, points: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _line_rows(s: np.ndarray) -> list[np.ndarray]:
+    """Four uninitialised arrays shaped like s, rows of one allocation that
+    each start on a 64-byte cache line: numpy's ufuncs write a line-aligned
+    output about twice as fast, and the rows' places do not depend on the
+    heap.  Each row but the last is padded to a multiple of 8 floats."""
+    width = -(-s.size // 8) * 8
+    buf = np.empty(3 * width + s.size + 7)
+    skip = -buf.__array_interface__["data"][0] % 64 // 8
+    return [buf[skip + i * width:][: s.size].reshape(s.shape) for i in range(4)]
+
+
 def evaluate(p: ChebInterpolant, x):
     """Evaluate the series by the Clenshaw recurrence.
 
     Scalar in, float out; array in, array out.  Points outside the domain
     extrapolate; non-finite points and overflowing values raise ValueError.
-    The recurrence runs in place in three preallocated buffers with ``2 s``
+    The recurrence runs in place in the four ``_line_rows`` with ``2 s``
     computed once, on coefficients scaled by ``_overflow_scale``.  It rounds
     every element as the textbook form ``b1, b2 = 2.0 * s * b1 - b2 + c[k],
     b1`` does, so the bits match wherever no partial sum is subnormal.
@@ -497,10 +508,10 @@ def evaluate(p: ChebInterpolant, x):
     c = p.coeffs * scale
     with np.errstate(over="ignore", invalid="ignore"):
         s = p.domain.to_unit(x)
-        s2 = 2.0 * s
-        b1 = np.zeros_like(s)
-        b2 = np.zeros_like(s)
-        t = np.empty_like(s)
+        s2, b1, b2, t = _line_rows(s)
+        np.multiply(s, 2.0, out=s2)
+        b1[...] = 0.0
+        b2[...] = 0.0
         for k in range(c.size - 1, 0, -1):
             np.multiply(s2, b1, out=t)
             t -= b2

@@ -6,7 +6,8 @@ points by the barycentric trigonometric formula, and amplitude spectra.
 Samples come as a :class:`~chebsig.signals.Signal`, whose derived ``step``
 says whether its grid is even; every function here raises
 :class:`UnevenSpacingError` on an uneven grid, since the constructions are
-meaningless for one.
+meaningless for one, and ValueError on a step so small that its
+frequencies overflow.
 """
 
 from __future__ import annotations
@@ -29,12 +30,17 @@ class UnevenSpacingError(ValueError):
 
 
 def _even_step(signal: Signal) -> float:
+    """The grid step, checked so that the frequencies k / (N step) for k up
+    to N - 1 and the phase rate pi / (N step) are finite."""
     if signal.step is None:
         raise UnevenSpacingError(
             "uneven nodes unsupported: trigonometric interpolation "
             "requires an equally spaced sample grid"
         )
-    return signal.step
+    n, step = len(signal), signal.step
+    if not np.isfinite(max(np.pi, n - 1) / (n * step)):
+        raise ValueError(f"sample step {step} too small: max(pi, N - 1) / (N * step) overflows")
+    return step
 
 
 def resample_spectral(signal: Signal, new_count: int) -> Signal:
@@ -54,12 +60,13 @@ def resample_spectral(signal: Signal, new_count: int) -> Signal:
     UnevenSpacingError
         If the signal's grid is not even.
     ValueError
-        If new_count < len(signal), or a resampled value overflows.
+        If new_count is not an integer >= len(signal), the step is too small
+        for its frequencies, or a resampled value overflows.
     """
     step = _even_step(signal)
     n = len(signal)
-    if new_count < n:
-        raise ValueError(f"new_count {new_count} < signal length {n}")
+    if not isinstance(new_count, (int, np.integer)) or new_count < n:
+        raise ValueError("new_count must be an integer >= len(signal)")
     scale = _overflow_scale(signal.y)
     spec = np.fft.fft(signal.y * scale)
     padded = np.zeros(new_count, dtype=complex)
@@ -108,8 +115,9 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     UnevenSpacingError
         If sample_x is not uniformly spaced to within ``signals.EVEN_RTOL``.
     ValueError
-        If a query point is not finite or its phase theta overflows, or the
-        interpolant value overflows.
+        If the step is too small for its frequencies, a query point is not
+        finite or its phase theta overflows, or the interpolant value
+        overflows.
     """
     samples = Signal(sample_x, sample_y)
     step = _even_step(samples)

@@ -124,10 +124,29 @@ class TestResampleSpectral:
         with pytest.raises(ValueError):
             resample_spectral(gamma_signal(), 30)
 
+    def test_count_must_be_an_integer(self):
+        s = unit_grid(np.arange(4.0))
+        for count in (8.0, 6.5, math.nan):
+            with pytest.raises(ValueError, match="new_count must be an integer"):
+                resample_spectral(s, count)
+        assert len(resample_spectral(s, np.int64(8))) == 8
+
     def test_rejects_uneven_signal(self):
         t = np.array([0.0, 1.0, 2.5, 3.0])
         with pytest.raises(UnevenSpacingError):
             resample_spectral(Signal(t, np.zeros(4)), 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trig_interpolate([0.0, 1e-320], [1.0, 2.0], [0.5e-320]),
+    # 1 / (2 step) fits here, pi / (2 step) does not.
+    lambda: trig_interpolate([0.0, 3e-309], [1.0, 2.0], [1e-309]),
+    lambda: amplitude_spectrum(Signal(np.arange(3.0) * 1e-310, [1.0, 2.0, 3.0])),
+    lambda: resample_spectral(Signal(np.arange(3.0) * 1e-310, [1.0, 2.0, 3.0]), 6),
+], ids=["trig", "trig-phase", "spectrum", "resample"])
+def test_a_step_too_small_for_its_frequencies_raises(call):
+    with pytest.raises(ValueError, match="sample step .* too small"):
+        call()
 
 
 class TestTrigCardinal:

@@ -198,15 +198,27 @@ def _textbook_clenshaw(p, x):
 @given(st.integers(min_value=0, max_value=2000),
        st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.sampled_from([Domain(-1.0, 1.0), Domain(-3.0, 7.5)]),
-       st.sampled_from(["scalar", "0-d", "empty", "array"]))
-def test_evaluate_is_bit_identical_to_textbook_clenshaw(degree, seed, domain, shape):
+       st.sampled_from(["scalar", "0-d", "array", "2-d", "strided", "offset"]),
+       st.sampled_from([*range(18), 12049]))
+@example(7, 0, Domain(-1.0, 1.0), "array", 0)
+@example(7, 1, Domain(-1.0, 1.0), "2-d", 7)
+@example(7, 2, Domain(-1.0, 1.0), "2-d", 0)
+@example(2000, 3, Domain(-3.0, 7.5), "array", 12049)
+@example(300, 4, Domain(-3.0, 7.5), "strided", 17)
+@example(300, 5, Domain(-1.0, 1.0), "offset", 9)
+def test_evaluate_is_bit_identical_to_textbook_clenshaw(degree, seed, domain, shape, count):
+    # Counts on both sides of a multiple of 8 (evaluate pads its work rows
+    # to one) up to 12049; 2-D queries of shape (3, count); and x as a
+    # strided view or a view one float into a larger buffer.
     rng = np.random.default_rng(seed)
     p = ChebInterpolant(rng.standard_normal(degree + 1) / np.arange(1, degree + 2), domain)
     # The points reach 4/(degree+1) half-widths past each end: far enough to
     # extrapolate, near enough that T_degree stays finite there.
     reach = 1.0 + 4.0 / (degree + 1)
-    x = domain.from_unit(rng.uniform(-reach, reach, 41))
-    x = {"scalar": float(x[0]), "0-d": np.array(x[0]), "empty": x[:0], "array": x}[shape]
+    x = domain.from_unit(rng.uniform(-reach, reach, 3 * count + 1))
+    x = {"scalar": float(x[0]), "0-d": np.array(x[0]), "array": x[:count],
+         "2-d": x[:3 * count].reshape(3, count), "strided": x[:3 * count:3],
+         "offset": x[1:count + 1]}[shape]
     got, want = evaluate(p, x), _textbook_clenshaw(p, x)
     assert type(got) is type(want)
     assert np.array_equal(got, want)
