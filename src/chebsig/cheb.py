@@ -79,9 +79,7 @@ def _barycentric_rows(values: np.ndarray, count: int, fill, distance) -> np.ndar
             block = np.vecdot(g, scaled) / den / scale
         snap = np.flatnonzero(~np.isfinite(den))
         block[snap] = values[np.argmin(distance(rows.start + snap), axis=1)]
-        if not np.all(np.isfinite(block)):
-            raise ValueError("the interpolant value overflows")
-        out[rows] = block
+        out[rows] = _finite(block, "the interpolant value overflows")
     return out
 
 
@@ -142,8 +140,7 @@ class NodeSet:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("points must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+        _finite(pts, "points must be finite")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("points must be strictly increasing")
         if pts[0] < self.domain.a or pts[-1] > self.domain.b:
@@ -170,9 +167,7 @@ class ChebInterpolant:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
-        c = c.copy()
+        c = _finite(c, "coeffs must be finite").copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -196,12 +191,9 @@ class ChebInterpolant:
         n = max(self.coeffs.size, other.coeffs.size)
         c = np.zeros(n)
         c[: self.coeffs.size] += self.coeffs
-        try:
-            with np.errstate(over="raise"):
-                c[: other.coeffs.size] += other.coeffs
-        except FloatingPointError:
-            raise ValueError("the series sum overflows") from None
-        return ChebInterpolant(c, self.domain)
+        with np.errstate(over="ignore"):
+            c[: other.coeffs.size] += other.coeffs
+        return ChebInterpolant(_finite(c, "the series sum overflows"), self.domain)
 
 
 def _mirrored_half_points(count: int, angles_of_positive_half) -> np.ndarray:
@@ -239,8 +231,7 @@ def cheb_points_second_kind(n: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     NodeSet
         Ascending points; on [-1, 1] the set is sign-symmetric bit-exactly.
     """
-    if n < 1:
-        raise ValueError("cheb_points_second_kind requires degree n >= 1")
+    n = _count(n, "n", 1)
     unit = _second_kind_unit_points(n)
     return NodeSet(_map_unit_points(unit, domain, ends=True), domain)
 
@@ -259,8 +250,7 @@ def cheb_points_first_kind(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     These are cos((2j+1) pi / (2 count)) for j = 0 .. count-1, strictly
     interior to the domain, sign-symmetric bit-exactly on [-1, 1].
     """
-    if count < 1:
-        raise ValueError("cheb_points_first_kind requires count >= 1")
+    count = _count(count, "count", 1)
     # Ascending: x_j = sin((2j + 1 - count) pi / (2 count)).
     j = np.arange((count + 1) // 2, count)
     unit = _mirrored_half_points(count, (2 * j + 1 - count) * (np.pi / (2 * count)))
@@ -290,6 +280,29 @@ def _overflow_scale(v: np.ndarray) -> float:
     return 2.0 ** -max(math.frexp(np.abs(v).max())[1], 0)
 
 
+def _finite(a, message: str) -> np.ndarray:
+    """a as a float array; ValueError(message) if an element is not finite."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(message)
+    return a
+
+
+def _unscaled(y, divisor: float, message: str) -> np.ndarray:
+    """y / divisor, ValueError(message) where it overflows: the rule for a
+    result computed on values scaled by ``_overflow_scale``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(y / divisor, message)
+
+
+def _count(value, name: str, minimum: int) -> int:
+    """value as an int; ValueError naming it unless it is an integer (not a
+    bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+    return int(value)
+
+
 def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients from values at ascending second-kind points.
 
@@ -304,11 +317,7 @@ def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
     coeffs = np.fft.rfft(ext)[: n + 1].real
     coeffs[0] *= 0.5
     coeffs[n] *= 0.5
-    try:
-        with np.errstate(over="raise"):
-            return coeffs / (n * scale)
-    except FloatingPointError:
-        raise ValueError("the series coefficients overflow") from None
+    return _unscaled(coeffs, n * scale, "the series coefficients overflow")
 
 
 def interpolant_from_values(values, domain: Domain = UNIT_DOMAIN) -> ChebInterpolant:
@@ -329,9 +338,7 @@ def interpolant_from_values(values, domain: Domain = UNIT_DOMAIN) -> ChebInterpo
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need at least 2 values (degree n >= 1)")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
-    return ChebInterpolant(_values_to_coeffs(v), domain)
+    return ChebInterpolant(_values_to_coeffs(_finite(v, "values must be finite")), domain)
 
 
 def _chop_point(coeffs: np.ndarray, tol: float) -> int:
@@ -433,9 +440,7 @@ def interpolant_from_function(
         carries the finest-grid interpolant in ``best``.
     """
     if n is not None:
-        if n < 1:
-            raise ValueError("fixed mode requires degree n >= 1")
-        nodes = cheb_points_second_kind(n, domain)
+        nodes = cheb_points_second_kind(_count(n, "n", 1), domain)
         return interpolant_from_values(_sample(f, nodes.points), domain)
 
     unit = _finest_unit_grid()
@@ -475,9 +480,7 @@ def _sample(f: Callable, points: np.ndarray) -> np.ndarray:
             f"f returned shape {vals.shape} for {points.size} points; "
             "it must return one value per point"
         )
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function returned non-finite values on the grid")
-    return vals
+    return _finite(vals, "function returned non-finite values on the grid")
 
 
 def _line_rows(s: np.ndarray) -> list[np.ndarray]:
@@ -501,9 +504,7 @@ def evaluate(p: ChebInterpolant, x):
     every element as the textbook form ``b1, b2 = 2.0 * s * b1 - b2 + c[k],
     b1`` does, so the bits match wherever no partial sum is subnormal.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("points must be finite")
+    x = _finite(x, "points must be finite")
     scale = _overflow_scale(p.coeffs)
     c = p.coeffs * scale
     with np.errstate(over="ignore", invalid="ignore"):
@@ -517,9 +518,7 @@ def evaluate(p: ChebInterpolant, x):
             t -= b2
             t += c[k]
             b1, b2, t = t, b1, b2
-        out = (s * b1 - b2 + c[0]) / scale
-    if not np.all(np.isfinite(out)):
-        raise ValueError("the series value overflows")
+        out = _unscaled(s * b1 - b2 + c[0], scale, "the series value overflows")
     return out if out.ndim else float(out)
 
 
@@ -554,11 +553,8 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
         raise ValueError("nodes must be cheb_points_second_kind(len(nodes) - 1, nodes.domain)")
     if v.shape != pts.shape:
         raise ValueError(f"got {v.size} values for {pts.size} nodes")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
-    xq = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xq)):
-        raise ValueError("points must be finite")
+    _finite(v, "values must be finite")
+    xq = _finite(x, "points must be finite")
     shape = xq.shape
     xq = xq.ravel()
 
@@ -596,11 +592,9 @@ def derivative(p: ChebInterpolant) -> ChebInterpolant:
     for k in range(n, 0, -1):
         b[k - 1] = b[k + 1] + 2.0 * k * c[k]
     b[0] *= 0.5
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return ChebInterpolant(b[:n] * (2.0 / p.domain.width) / scale, p.domain)
-    except FloatingPointError:
-        raise ValueError("the derivative coefficients overflow") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = b[:n] * (2.0 / p.domain.width)
+    return ChebInterpolant(_unscaled(b, scale, "the derivative coefficients overflow"), p.domain)
 
 
 def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
@@ -608,37 +602,40 @@ def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
 
     Brackets sign changes of p' on a Chebyshev-spaced grid of
     8*degree + 16 points (endpoints pinned to a and b), bisects each
-    bracket to an abscissa tolerance of 1e-13 (or to adjacent floats, where
-    those lie further apart), and compares the candidate
-    values together with the endpoints.  Near the ends the extrema of a
-    degree-n polynomial crowd to O(n^-2) spacing, which a uniform grid of
-    the same size cannot resolve.
+    bracket to an abscissa tolerance of 1e-13 of the half-width (b - a) / 2
+    (or to adjacent floats, where those lie further apart), and compares
+    the candidate values together with the endpoints.  Only signs of p' are
+    multiplied, so the search is the same on [a, b] as on [-1, 1] at any
+    width.  Near the ends the extrema of a degree-n polynomial crowd to
+    O(n^-2) spacing, which a uniform grid of the same size cannot resolve.
     """
     dom = p.domain
-    # Only the sign of p' is used, so bracket on the derivative of p scaled
-    # by a power of two, which fits where p' itself may not.
+    # Only the sign of p' is used: bracket on the derivative of p scaled by
+    # a power of two, which fits where p' itself may not, and multiply signs,
+    # whose products neither under- nor overflow at any width.
     dp = derivative(ChebInterpolant(p.coeffs * _overflow_scale(p.coeffs), dom))
     m = 8 * p.degree + 16
     grid = dom.from_unit(-np.cos(np.arange(m) * (np.pi / (m - 1))))
     grid[0], grid[-1] = dom.a, dom.b
-    dv = evaluate(dp, grid)
+    dv = np.sign(evaluate(dp, grid))
+    tol = 1e-13 * (0.5 * dom.width)
 
     candidates = [np.array([dom.a, dom.b]), grid[dv == 0.0]]
     sign_flip = np.nonzero(dv[:-1] * dv[1:] < 0.0)[0]
     lo = grid[sign_flip].copy()
     hi = grid[sign_flip + 1].copy()
     flo = dv[sign_flip].copy()
-    while lo.size and np.max(hi - lo) > 1e-13:
+    while lo.size and np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        fm = np.atleast_1d(evaluate(dp, mid))
+        fm = np.sign(np.atleast_1d(evaluate(dp, mid)))
         left = flo * fm <= 0.0
-        # Where adjacent floats are over 1e-13 apart (|x| >= 512) a bracket
-        # can stall: its midpoint is an end and the step leaves it as it was,
-        # so it would stall again on every later sweep.  Stop once no bracket
-        # wider than 1e-13 moves; wherever the loop ended before, it still
-        # ends at the same sweep.
+        # Where adjacent floats are over tol apart (|x| >= 512 at width 2,
+        # and in proportion) a bracket can stall: its midpoint is an end and
+        # the step leaves it as it was, so it would stall again on every
+        # later sweep.  Stop once no bracket wider than tol moves; wherever
+        # the loop ended before, it still ends at the same sweep.
         moved = np.where(left, mid != hi, mid != lo)
-        if not np.any(moved & (hi - lo > 1e-13)):
+        if not np.any(moved & (hi - lo > tol)):
             break
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)

@@ -16,7 +16,7 @@ import enum
 
 import numpy as np
 
-from .cheb import Domain, cheb_points_second_kind
+from .cheb import Domain, _count, _finite, cheb_points_second_kind
 
 __all__ = [
     "Basis",
@@ -45,6 +45,7 @@ class NumericallySingularError(ValueError):
 
 def clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Quadrature weights for the n+1 second-kind points on [-1, 1]."""
+    n = _count(n, "n", 0)
     if n == 0:
         return np.array([2.0])
     theta = np.arange(n + 1) * (np.pi / n)
@@ -64,8 +65,7 @@ def build_basis_matrix(basis: Basis, domain: Domain, max_degree: int) -> np.ndar
     The grid has max(DEFAULT_GRID, 4*(max_degree+1)) points, enough for the
     quadrature to resolve every column product.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    max_degree = _count(max_degree, "max_degree", 0)
     grid_size = max(DEFAULT_GRID, 4 * (max_degree + 1))
     nodes = cheb_points_second_kind(grid_size - 1, domain)
     x = nodes.points
@@ -84,7 +84,7 @@ def build_basis_matrix(basis: Basis, domain: Domain, max_degree: int) -> np.ndar
 
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of the weighted sample matrix, descending."""
-    return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.svd(_finite(m, "the matrix must be finite"), compute_uv=False)
 
 
 def condition_number(m: np.ndarray) -> float:
@@ -105,8 +105,7 @@ def condition_number(m: np.ndarray) -> float:
 
 def conditioning_sweep(basis: Basis, domain: Domain, n_max: int) -> np.ndarray:
     """Condition number of the degree 0..n truncations for n = 0..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = _count(n_max, "n_max", 0)
     full = build_basis_matrix(basis, domain, n_max)
     out = np.empty(n_max + 1)
     for n in range(n_max + 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cheb import _barycentric_rows, _overflow_scale
+from .cheb import _barycentric_rows, _count, _finite, _overflow_scale, _unscaled
 from .signals import Signal
 
 __all__ = [
@@ -65,8 +65,7 @@ def resample_spectral(signal: Signal, new_count: int) -> Signal:
     """
     step = _even_step(signal)
     n = len(signal)
-    if not isinstance(new_count, (int, np.integer)) or new_count < n:
-        raise ValueError("new_count must be an integer >= len(signal)")
+    new_count = _count(new_count, "new_count", n)
     scale = _overflow_scale(signal.y)
     spec = np.fft.fft(signal.y * scale)
     padded = np.zeros(new_count, dtype=complex)
@@ -87,10 +86,7 @@ def resample_spectral(signal: Signal, new_count: int) -> Signal:
     tol = 1e-10 * max(scale, np.max(np.abs(out.real)))
     if residue >= tol:
         raise ValueError(f"imaginary residue {residue / scale:.3e} after resampling")
-    with np.errstate(over="ignore"):
-        y = out.real / scale
-    if not np.all(np.isfinite(y)):
-        raise ValueError("the resampled values overflow")
+    y = _unscaled(out.real, scale, "the resampled values overflow")
     return Signal(signal.t[0] + (step * n / new_count) * np.arange(new_count), y)
 
 
@@ -122,9 +118,7 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     samples = Signal(sample_x, sample_y)
     step = _even_step(samples)
     xs, ys, n = samples.t, samples.y, len(samples)
-    xq = np.asarray(query_x, dtype=float)
-    if not np.all(np.isfinite(xq)):
-        raise ValueError("points must be finite")
+    xq = _finite(query_x, "points must be finite")
     shape = xq.shape
     xq = xq.ravel()
 
@@ -132,8 +126,7 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     theta_k = (xs - xs[0]) * rate
     with np.errstate(over="ignore"):
         theta = (xq - xs[0]) * rate
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("points too far from the samples: their phase overflows")
+    theta = _finite(theta, "points too far from the samples: their phase overflows")
     sq, cq = np.sin(theta), np.cos(theta)
     # The node sines and cosines carry (-1)^k, so a block row of
     # sq * ck_signed - cq * sk_signed holds (-1)^k sin(theta - theta_k).
@@ -166,8 +159,5 @@ def amplitude_spectrum(signal: Signal) -> tuple[np.ndarray, np.ndarray, np.ndarr
     freqs = np.arange(n) / (n * step)
     phases = np.angle(spec)
     phases[phases <= -np.pi] += 2 * np.pi  # keep within (-pi, pi]
-    with np.errstate(over="ignore"):
-        amps = np.abs(spec) / scale
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("the spectrum amplitudes overflow")
+    amps = _unscaled(np.abs(spec), scale, "the spectrum amplitudes overflow")
     return freqs, amps, phases

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .cheb import UNIT_DOMAIN, Domain, NodeSet, _row_blocks
+from .cheb import UNIT_DOMAIN, Domain, NodeSet, _count, _finite, _row_blocks
 
 __all__ = [
     "legendre_points",
@@ -42,8 +42,7 @@ def legendre_points(count: int) -> NodeSet:
         If Newton has not converged after ``_NEWTON_SWEEPS`` sweeps (not
         expected for any count <= 1e4).
     """
-    if count < 1:
-        raise ValueError("legendre_points requires count >= 1")
+    count = _count(count, "count", 1)
     k = np.arange(1, count + 1)
     x = np.cos(np.pi * (4 * k - 1) / (4 * count + 2))
     for _ in range(_NEWTON_SWEEPS):
@@ -59,8 +58,7 @@ def legendre_points(count: int) -> NodeSet:
 
 def uniform_points(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     """count equally spaced points spanning the domain, endpoints included."""
-    if count < 2:
-        raise ValueError("uniform_points requires count >= 2")
+    count = _count(count, "count", 2)
     return NodeSet(np.linspace(domain.a, domain.b, count), domain)
 
 
@@ -87,8 +85,7 @@ def mean_distance(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("need at least 2 points")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+    _finite(pts, "points must be finite")
     if not math.isfinite(float(pts.max()) - float(pts.min())):
         raise ValueError("the span of the points overflows")
     # Each row's sum is row-local, so blocks of rows give the bits of the

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cheb import _count
+
 __all__ = [
     "Signal",
     "GammaParams",
@@ -102,8 +104,7 @@ def uneven_grid(count: int, span: float, seed: int, mode: str = "sorted") -> np.
     draws, which also yields an increasing grid but keeps the first point
     pinned at 0.  Tied neighbours are nudged apart by 1e-12 * span.
     """
-    if count < 2:
-        raise ValueError("count must be >= 2")
+    count = _count(count, "count", 2)
     if not 0 < span < math.inf:
         raise ValueError("span must be positive and finite")
     rng = np.random.default_rng(seed)
@@ -136,8 +137,7 @@ def moving_average(signal: Signal, window: int) -> Signal:
     y'[k] = mean(y[k-w+1 .. k]) with zeros before the start, which carries
     an inherent lag of (w-1)/2 samples.  Output length equals input length.
     """
-    if not isinstance(window, (int, np.integer)) or window < 1:
-        raise ValueError("window must be an integer >= 1")
+    window = _count(window, "window", 1)
     kernel = np.full(window, 1.0 / window)
     smoothed = np.convolve(signal.y, kernel, mode="full")[: len(signal)]
     return Signal(signal.t, smoothed)

@@ -128,12 +128,6 @@ class TestNodeGeneration:
             pts = cheb_points_first_kind(n).points
             assert np.array_equal(pts, -pts[::-1]), f"first kind n={n}"
 
-    def test_rejects_degenerate_grids(self):
-        with pytest.raises(ValueError):
-            cheb_points_second_kind(0)
-        with pytest.raises(ValueError):
-            cheb_points_first_kind(0)
-
 
 class TestExtremaAndRoots:
     """Second-kind points are the extrema of T_n, first-kind points its roots."""
@@ -520,6 +514,12 @@ class TestDerivative:
         # 1e300 T_1 on a width of 1e-10 has slope 2e310.
         with pytest.raises(ValueError, match="derivative coefficients overflow"):
             derivative(ChebInterpolant([0.0, 1e300], Domain(0.0, 1e-10)))
+        # On a subnormal width 2 / width is already inf: no operation
+        # overflows, yet the slope does not fit.
+        p = ChebInterpolant([1.0, 1.0], Domain(0.0, 5e-324))
+        for call in (derivative, min_and_max):
+            with pytest.raises(ValueError, match="derivative coefficients overflow"):
+                call(p)
 
     def test_recurrence_term_past_the_float_limit(self):
         # 2 a_1 = 2e308 does not fit, but b_0 = b_2 + 2 a_1 = 5e307 does.
@@ -555,11 +555,22 @@ class TestMinAndMax:
         assert hi == pytest.approx(math.e, rel=1e-12)
 
     def test_brackets_wider_than_the_tolerance_at_their_last_float(self):
-        # Near 600 adjacent floats are 1.1e-13 apart, so no bracket of p'
-        # narrows to 1e-13; the search still returns.
-        lo, hi = min_and_max(interpolant_from_function(np.sin, Domain(600.0, 610.0)))
+        # Near 6000 adjacent floats are 9.1e-13 apart, so no bracket of p'
+        # narrows to the tolerance, 1e-13 of the half-width 5; the search
+        # still returns.
+        lo, hi = min_and_max(interpolant_from_function(np.sin, Domain(6000.0, 6010.0)))
         assert lo == pytest.approx(-1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
+
+    def test_same_extrema_on_any_width(self):
+        # The same samples on [0, w] have the extrema of [-1, 1]: neither
+        # products of p' values that under- or overflow nor a tolerance
+        # wider than the domain may change the search.
+        y = np.sin(np.linspace(0.0, 40.0, 101))
+        want = min_and_max(interpolant_from_values(y, UNIT))
+        for w in 10.0 ** np.arange(-300, 301, 20):
+            got = min_and_max(interpolant_from_values(y, Domain(0.0, w)))
+            assert got == pytest.approx(want, rel=1e-12), w
 
 
 class TestTruncate:

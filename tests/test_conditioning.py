@@ -95,6 +95,14 @@ class TestSingularValues:
             np.sum(entries ** 2), rel=1e-10
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        entries = np.eye(3)
+        entries[1, 2] = bad
+        for call in (singular_values, condition_number):
+            with pytest.raises(ValueError, match="the matrix must be finite"):
+                call(entries)
+
 
 class TestConditionNumber:
     def test_numerically_singular_rejected(self):
