@@ -123,7 +123,15 @@ class Domain:
 
     def to_unit(self, x):
         """Map x in [a, b] onto [-1, 1]."""
-        return (2.0 * np.asarray(x) - (self.a + self.b)) / (self.b - self.a)
+        x = np.asarray(x)
+        with np.errstate(over="ignore"):
+            s = (2.0 * x - (self.a + self.b)) / (self.b - self.a)
+            if np.isfinite(s).all():
+                return s
+            # 2 x overflows for |x| > 8.99e307; the halved form does not, but
+            # halving a subnormal width gives 0, so it is the fallback only.
+            halved = (x - 0.5 * (self.a + self.b)) / (0.5 * (self.b - self.a))
+            return np.where(np.isfinite(s), s, halved)
 
 
 UNIT_DOMAIN = Domain(-1.0, 1.0)
@@ -597,6 +605,33 @@ def derivative(p: ChebInterpolant) -> ChebInterpolant:
     return ChebInterpolant(_unscaled(b, scale, "the derivative coefficients overflow"), p.domain)
 
 
+def _halfway(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where the sum overflows: the
+    halved form is the fallback only, as halving first can round away the
+    last bit of a subnormal."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+
+
+def _sweep(lo, hi, flo, mid, fm, tol):
+    """One bisection sweep of ``min_and_max``: (lo, hi, flo, left), each
+    bracket keeping the half over which the sign of p' changes, [lo, mid]
+    where ``left``; None if no bracket wider than tol would move.
+
+    Where adjacent floats are over tol apart (|x| >= 512 at width 2, and in
+    proportion) a bracket can stall: its midpoint is an end and the step
+    leaves it as it was, so it would stall again on every later sweep.
+    Stopping once no bracket wider than tol moves ends the search there,
+    and wherever it ended before, at the same sweep.
+    """
+    left = flo * fm <= 0.0
+    moved = np.where(left, mid != hi, mid != lo)
+    if not np.any(moved & (hi - lo > tol)):
+        return None
+    return np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm), left
+
+
 def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
     """Global minimum and maximum of the interpolant over its domain.
 
@@ -608,6 +643,11 @@ def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
     multiplied, so the search is the same on [a, b] as on [-1, 1] at any
     width.  Near the ends the extrema of a degree-n polynomial crowd to
     O(n^-2) spacing, which a uniform grid of the same size cannot resolve.
+
+    Two sweeps share one Clenshaw pass: it signs each bracket's midpoint
+    and both quarter points, the midpoints the next sweep forms whichever
+    half is kept.  Clenshaw rounds every point apart from its batch, so the
+    midpoints, the rules and every bit are those of the serial bisection.
     """
     dom = p.domain
     # Only the sign of p' is used: bracket on the derivative of p scaled by
@@ -626,21 +666,20 @@ def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
     hi = grid[sign_flip + 1].copy()
     flo = dv[sign_flip].copy()
     while lo.size and np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        fm = np.sign(np.atleast_1d(evaluate(dp, mid)))
-        left = flo * fm <= 0.0
-        # Where adjacent floats are over tol apart (|x| >= 512 at width 2,
-        # and in proportion) a bracket can stall: its midpoint is an end and
-        # the step leaves it as it was, so it would stall again on every
-        # later sweep.  Stop once no bracket wider than tol moves; wherever
-        # the loop ended before, it still ends at the same sweep.
-        moved = np.where(left, mid != hi, mid != lo)
-        if not np.any(moved & (hi - lo > tol)):
+        mid = _halfway(lo, hi)
+        quarters = _halfway(lo, mid), _halfway(mid, hi)
+        fm, *fq = np.sign(evaluate(dp, np.stack([mid, *quarters])))
+        step = _sweep(lo, hi, flo, mid, fm, tol)
+        if step is None:
             break
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-    candidates.append(0.5 * (lo + hi))
+        lo, hi, flo, left = step
+        if not np.max(hi - lo) > tol:
+            break
+        step = _sweep(lo, hi, flo, np.where(left, *quarters), np.where(left, *fq), tol)
+        if step is None:
+            break
+        lo, hi, flo, _ = step
+    candidates.append(_halfway(lo, hi))
 
     vals = evaluate(p, np.concatenate(candidates))
     return float(np.min(vals)), float(np.max(vals))

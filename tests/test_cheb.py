@@ -349,6 +349,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="overflows"):
             evaluate(ChebInterpolant([1e308, 1e308], UNIT), 1.0)
 
+    @pytest.mark.parametrize("b", [1e308, 1.7e308])
+    def test_points_whose_double_overflows(self, b):
+        # to_unit doubles x, which overflows past 8.99e307; at b the series
+        # has its value at s = 1, the sum of its coefficients.
+        p = interpolant_from_values(np.sin(np.linspace(0.0, 40.0, 101)), Domain(0.0, b))
+        assert evaluate(p, b) == evaluate(ChebInterpolant(p.coeffs, UNIT), 1.0)
+
 
 class TestBarycentric:
     def test_linear_reproduction(self):
@@ -571,6 +578,14 @@ class TestMinAndMax:
         for w in 10.0 ** np.arange(-300, 301, 20):
             got = min_and_max(interpolant_from_values(y, Domain(0.0, w)))
             assert got == pytest.approx(want, rel=1e-12), w
+
+    @pytest.mark.parametrize("b", [1e308, 1.7e308])
+    def test_brackets_whose_end_sum_overflows(self, b):
+        # Near b, lo + hi of a bracket and 2 x in to_unit pass the float
+        # limit; the midpoints and the map must not.
+        y = np.sin(np.linspace(0.0, 40.0, 101))
+        got = min_and_max(interpolant_from_values(y, Domain(0.0, b)))
+        assert got == pytest.approx(min_and_max(interpolant_from_values(y, UNIT)), rel=1e-12)
 
 
 class TestTruncate:

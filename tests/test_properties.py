@@ -1,8 +1,10 @@
 """Property tests of the library invariants: randomized, or exhaustive over a small range."""
 
+import contextlib
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -667,3 +669,119 @@ def test_mean_distance_is_bit_identical_to_masked_form(count, seed, kind):
         "shuffled": lambda: rng.permutation(np.unique(rng.uniform(-1.0, 1.0, count))),
     }[kind]()
     assert np.array_equal(_bits(mean_distance(pts)), _bits(_textbook_mean_distance(pts)))
+
+
+def _textbook_min_and_max(p):
+    """min_and_max with one Clenshaw pass per bisection sweep: the serial
+    loop, the bit-identity reference for min_and_max.  It calls
+    ``cheb.evaluate``, so ``_evaluate_calls`` sees its passes."""
+    dom = p.domain
+    dp = cheb.derivative(ChebInterpolant(p.coeffs * cheb._overflow_scale(p.coeffs), dom))
+    m = 8 * p.degree + 16
+    grid = dom.from_unit(-np.cos(np.arange(m) * (np.pi / (m - 1))))
+    grid[0], grid[-1] = dom.a, dom.b
+    dv = np.sign(cheb.evaluate(dp, grid))
+    tol = 1e-13 * (0.5 * dom.width)
+
+    candidates = [np.array([dom.a, dom.b]), grid[dv == 0.0]]
+    sign_flip = np.nonzero(dv[:-1] * dv[1:] < 0.0)[0]
+    lo = grid[sign_flip].copy()
+    hi = grid[sign_flip + 1].copy()
+    flo = dv[sign_flip].copy()
+    while lo.size and np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        fm = np.sign(np.atleast_1d(cheb.evaluate(dp, mid)))
+        left = flo * fm <= 0.0
+        moved = np.where(left, mid != hi, mid != lo)
+        if not np.any(moved & (hi - lo > tol)):
+            break
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    candidates.append(0.5 * (lo + hi))
+
+    vals = cheb.evaluate(p, np.concatenate(candidates))
+    return float(np.min(vals)), float(np.max(vals))
+
+
+@contextlib.contextmanager
+def _evaluate_calls(limit=math.inf):
+    """Record the points of every ``cheb.evaluate`` call made inside; a call
+    past ``limit`` fails, so a bisection that stops narrowing fails instead
+    of running until it is killed."""
+    calls = []
+    real = cheb.evaluate
+
+    def counted(p, x):
+        calls.append(np.array(x, dtype=float))
+        assert len(calls) <= limit, f"more than {limit} evaluate calls"
+        return real(p, x)
+
+    with mock.patch.object(cheb, "evaluate", counted):
+        yield calls
+
+
+def _two_tone(degree, rng, domain):
+    """sin(k s + a) + sin(k2 s + b) / 2 at the second-kind points, k from
+    0.7 to 0.9 degree: at degree 999, the benchmark's min_and_max input."""
+    k = rng.uniform(0.7, 0.9) * degree
+    k2 = rng.uniform(k / 3.0, k / 2.0)
+    a, b = rng.uniform(0.0, 2.0 * np.pi, 2)
+    s = cheb_points_second_kind(degree).points
+    return interpolant_from_values(np.sin(k * s + a) + 0.5 * np.sin(k2 * s + b), domain)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=1000),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(["uniform", "two-tone", "monotone", "zero"]),
+       st.one_of(st.floats(min_value=-300.0, max_value=300.0), st.just("stalled")))
+@example(999, 0, "two-tone", 0.0)
+@example(1000, 1, "uniform", math.log10(2.0))
+@example(60, 2, "two-tone", "stalled")
+@example(300, 3, "uniform", -300.0)
+@example(300, 4, "uniform", 300.0)
+@example(40, 5, "monotone", 0.0)
+@example(0, 6, "uniform", 0.0)
+@example(7, 7, "zero", 0.0)
+def test_min_and_max_is_bit_identical_to_textbook_bisection(degree, seed, kind, log10_width):
+    # Widths 1e-300 to 1e300, placed anywhere from [-2w, -w] to [w, 2w];
+    # "stalled" is [6000, 6010], where adjacent floats lie 9.1e-13 apart,
+    # over the tolerance 5e-13, so brackets stop narrowing before it.
+    # "monotone" (s + s^3) has no bracket.  Candidates and extrema must
+    # keep every bit, and the search may make no more passes than the
+    # serial loop.
+    rng = np.random.default_rng(seed)
+    if log10_width == "stalled":
+        dom = Domain(6000.0, 6010.0)
+    else:
+        w = 10.0 ** log10_width
+        a = rng.uniform(-2.0, 1.0) * w
+        dom = Domain(a, a + w)
+    n = max(degree, 1)
+    s = cheb_points_second_kind(n).points
+    if kind == "two-tone":
+        p = _two_tone(n, rng, dom)
+    else:
+        y = {"uniform": rng.uniform(-1.0, 1.0, n + 1), "monotone": s + s ** 3, "zero": 0.0 * s}
+        p = interpolant_from_values(y[kind], dom)
+    if degree == 0:
+        p = ChebInterpolant(p.coeffs[:1], dom)
+    with _evaluate_calls() as serial:
+        want = _textbook_min_and_max(p)
+    with _evaluate_calls(len(serial)) as calls:
+        got = cheb.min_and_max(p)
+    assert _bits(got).tobytes() == _bits(want).tobytes()
+    assert _bits(calls[-1]).tobytes() == _bits(serial[-1]).tobytes()
+
+
+def test_min_and_max_shares_one_clenshaw_pass_between_two_sweeps():
+    # The benchmark's two-tone degree-999 input: the serial loop makes one
+    # pass for the grid, one per sweep and one for the candidates.
+    p = _two_tone(999, np.random.default_rng(999), Domain(-1.0, 1.0))
+    with _evaluate_calls() as serial:
+        _textbook_min_and_max(p)
+    with _evaluate_calls() as calls:
+        cheb.min_and_max(p)
+    sweeps = len(serial) - 2
+    assert len(calls) <= 2 + math.ceil(sweeps / 2)
