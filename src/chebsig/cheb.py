@@ -44,6 +44,14 @@ _EPS = 2.0 ** -52
 #: so a block stays in L2); a row longer than this gets a block of its own.
 _BLOCK_ELEMENTS = 2 ** 15
 
+#: Barycentric rows at least this wide are filled with numpy's ufunc
+#: buffer cut to 16 elements.  Otherwise the row-broadcast subtract and
+#: divide are copied through the 8192-element buffer, which is faster only
+#: on narrow rows: the crossover measured between widths 65 and 113
+#: (ROADMAP.md, "Measured").  Elementwise ops round alike under any buffer
+#: size, so the bits are the same either way.
+_UNBUFFERED_WIDTH = 128
+
 
 def _row_blocks(count: int, width: int):
     """Yield (rows, block) that cover rows 0..count-1 of a count x width
@@ -77,8 +85,10 @@ def _barycentric_rows(values: np.ndarray, count: int, fill, distance) -> np.ndar
             fill(rows, g)
             den = np.sum(g, axis=1)
             block = np.vecdot(g, scaled) / den / scale
-        snap = np.flatnonzero(~np.isfinite(den))
-        block[snap] = values[np.argmin(distance(rows.start + snap), axis=1)]
+        finite = np.isfinite(den)
+        if not finite.all():
+            snap = np.flatnonzero(~finite)
+            block[snap] = values[np.argmin(distance(rows.start + snap), axis=1)]
         out[rows] = _finite(block, "the interpolant value overflows")
     return out
 
@@ -574,8 +584,13 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     at = np.flatnonzero(inside)
 
     def fill(rows, ratio):
-        np.subtract(xq[at[rows], None], pts, out=ratio)
-        np.divide(w, ratio, out=ratio)
+        # errstate scopes the buffer size (numpy >= 2.0): the caller's
+        # comes back on exit, also on a raise.
+        with np.errstate():
+            if pts.size >= _UNBUFFERED_WIDTH:
+                np.setbufsize(16)
+            np.subtract(xq[at[rows], None], pts, out=ratio)
+            np.divide(w, ratio, out=ratio)
 
     out = _barycentric_rows(v, at.size, fill, lambda i: np.abs(xq[at[i], None] - pts))
     if at.size < xq.size:

@@ -13,6 +13,7 @@ rounding, which is why the digits here are grid-independent.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -44,17 +45,26 @@ class NumericallySingularError(ValueError):
 
 
 def clenshaw_curtis_weights(n: int) -> np.ndarray:
-    """Quadrature weights for the n+1 second-kind points on [-1, 1]."""
-    n = _count(n, "n", 0)
+    """Quadrature weights for the n+1 second-kind points on [-1, 1]: a
+    fresh copy of the weights computed once per n."""
+    return _clenshaw_curtis_weights(_count(n, "n", 0)).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _clenshaw_curtis_weights(n: int) -> np.ndarray:
+    """The weights of ``clenshaw_curtis_weights``, read-only: the (n+1) x
+    n/2 cosine matrix is built once per n, and run-all asks for two sizes."""
     if n == 0:
-        return np.array([2.0])
-    theta = np.arange(n + 1) * (np.pi / n)
-    ks = np.arange(1, n // 2 + 1)
-    b = np.where(ks == n / 2, 1.0, 2.0)
-    correction = np.cos(2.0 * np.outer(theta, ks)) @ (b / (4.0 * ks ** 2 - 1.0))
-    w = (1.0 - correction) * (2.0 / n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+        w = np.array([2.0])
+    else:
+        theta = np.arange(n + 1) * (np.pi / n)
+        ks = np.arange(1, n // 2 + 1)
+        b = np.where(ks == n / 2, 1.0, 2.0)
+        correction = np.cos(2.0 * np.outer(theta, ks)) @ (b / (4.0 * ks ** 2 - 1.0))
+        w = (1.0 - correction) * (2.0 / n)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+    w.flags.writeable = False
     return w
 
 
@@ -69,7 +79,7 @@ def build_basis_matrix(basis: Basis, domain: Domain, max_degree: int) -> np.ndar
     grid_size = max(DEFAULT_GRID, 4 * (max_degree + 1))
     nodes = cheb_points_second_kind(grid_size - 1, domain)
     x = nodes.points
-    weights = clenshaw_curtis_weights(grid_size - 1) * (domain.width / 2.0)
+    weights = _clenshaw_curtis_weights(grid_size - 1) * (domain.width / 2.0)
     sqrt_w = np.sqrt(weights)
     if basis is Basis.CHEBYSHEV:
         # T_{k+1} = 2 s T_k - T_{k-1}, one new column per degree.

@@ -27,6 +27,23 @@ class TestWeights:
         assert np.sum(w * x ** 2) == pytest.approx(2 / 3, rel=1e-13)
         assert np.sum(w * x ** 8) == pytest.approx(2 / 9, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 1023, 2047])
+    def test_cached_weights_keep_the_computed_bits(self, n):
+        uncached = conditioning._clenshaw_curtis_weights.__wrapped__
+        assert np.array_equal(clenshaw_curtis_weights(n).view(np.uint64),
+                              uncached(n).view(np.uint64))
+
+    def test_callers_get_their_own_copy_from_a_bounded_cache(self):
+        first = clenshaw_curtis_weights(8)
+        want = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(clenshaw_curtis_weights(8), want)
+        cache = conditioning._clenshaw_curtis_weights
+        for n in range(100, 120):
+            clenshaw_curtis_weights(n)
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
+
 
 class TestBuildBasisMatrix:
     def test_trig_identity_sweep(self):
@@ -137,6 +154,15 @@ class TestConditioningSweep:
         unit = conditioning_sweep(Basis.MONOMIAL, Domain(0.0, 1.0), 10)
         assert unit[0] == pytest.approx(sym[0])
         assert np.all(unit[1:] > sym[1:])
+
+    @pytest.mark.parametrize("domain", [UNIT, Domain(0.0, 1.0), Domain(-3.0, 7.0)])
+    def test_cached_weights_keep_the_sweep_bits(self, domain, monkeypatch):
+        cached = {basis: conditioning_sweep(basis, domain, 10) for basis in Basis}
+        monkeypatch.setattr(conditioning, "_clenshaw_curtis_weights",
+                            conditioning._clenshaw_curtis_weights.__wrapped__)
+        for basis in Basis:
+            uncached = conditioning_sweep(basis, domain, 10)
+            assert np.array_equal(cached[basis].view(np.uint64), uncached.view(np.uint64))
 
     def test_grid_refinement_stability(self, monkeypatch):
         fine = {basis: conditioning_sweep(basis, UNIT, 10) for basis in Basis}

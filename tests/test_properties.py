@@ -448,6 +448,16 @@ _SUBNORMALS = np.array([5e-324, -5e-324, 2.2250738585e-313, -1e-310])
        st.booleans(),
        st.sampled_from(["on", "next", "inside", "outside", "subnormal", "mix"]),
        st.booleans())
+# Rows of cheb._UNBUFFERED_WIDTH nodes or more are filled under a 16-element
+# ufunc buffer: rows on both sides of that width, and wide ones.
+@example(cheb._UNBUFFERED_WIDTH - 2, 1, True, "mix", False)
+@example(cheb._UNBUFFERED_WIDTH - 1, 2, True, "mix", False)
+@example(cheb._UNBUFFERED_WIDTH - 2, 3, False, "mix", False)
+@example(cheb._UNBUFFERED_WIDTH - 1, 4, False, "mix", False)
+@example(1000, 5, True, "mix", False)
+@example(1500, 6, True, "mix", False)
+@example(1000, 7, False, "mix", False)
+@example(1500, 8, False, "mix", False)
 def test_barycentric_is_bit_identical_to_textbook_form(n, seed, unit, where, scalar):
     rng = np.random.default_rng(seed)
     if unit:
