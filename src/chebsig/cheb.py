@@ -620,83 +620,52 @@ def derivative(p: ChebInterpolant) -> ChebInterpolant:
     return ChebInterpolant(_unscaled(b, scale, "the derivative coefficients overflow"), p.domain)
 
 
-def _halfway(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where the sum overflows: the
-    halved form is the fallback only, as halving first can round away the
-    last bit of a subnormal."""
-    with np.errstate(over="ignore"):
-        mid = 0.5 * (lo + hi)
-    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
-
-
-def _sweep(lo, hi, flo, mid, fm, tol):
-    """One bisection sweep of ``min_and_max``: (lo, hi, flo, left), each
-    bracket keeping the half over which the sign of p' changes, [lo, mid]
-    where ``left``; None if no bracket wider than tol would move.
-
-    Where adjacent floats are over tol apart (|x| >= 512 at width 2, and in
-    proportion) a bracket can stall: its midpoint is an end and the step
-    leaves it as it was, so it would stall again on every later sweep.
-    Stopping once no bracket wider than tol moves ends the search there,
-    and wherever it ended before, at the same sweep.
-    """
-    left = flo * fm <= 0.0
-    moved = np.where(left, mid != hi, mid != lo)
-    if not np.any(moved & (hi - lo > tol)):
-        return None
-    return np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm), left
-
-
 def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
     """Global minimum and maximum of the interpolant over its domain.
 
-    Brackets sign changes of p' on a Chebyshev-spaced grid of
-    8*degree + 16 points (endpoints pinned to a and b), bisects each
-    bracket to an abscissa tolerance of 1e-13 of the half-width (b - a) / 2
-    (or to adjacent floats, where those lie further apart), and compares
-    the candidate values together with the endpoints.  Only signs of p' are
-    multiplied, so the search is the same on [a, b] as on [-1, 1] at any
-    width.  Near the ends the extrema of a degree-n polynomial crowd to
-    O(n^-2) spacing, which a uniform grid of the same size cannot resolve.
+    p on [a, b] is the series on [-1, 1] composed with an affine map, so
+    the search runs on the unit series, the same bits on every domain.  It
+    brackets sign changes of p' on a Chebyshev-spaced grid of
+    8*degree + 16 points (endpoints pinned to -1 and 1), bisects each
+    bracket to 1e-13, and compares the candidate values together with the
+    endpoints.  Floats in [-1, 1] lie at most 2^-53 apart, so the midpoint
+    of a bracket wider than 1e-13 lies strictly inside it.  Near the ends
+    the extrema of a degree-n polynomial crowd to O(n^-2) spacing, which a
+    uniform grid of the same size cannot resolve.
 
     Two sweeps share one Clenshaw pass: it signs each bracket's midpoint
     and both quarter points, the midpoints the next sweep forms whichever
     half is kept.  Clenshaw rounds every point apart from its batch, so the
     midpoints, the rules and every bit are those of the serial bisection.
     """
-    dom = p.domain
     # Only the sign of p' is used: bracket on the derivative of p scaled by
     # a power of two, which fits where p' itself may not, and multiply signs,
-    # whose products neither under- nor overflow at any width.
-    dp = derivative(ChebInterpolant(p.coeffs * _overflow_scale(p.coeffs), dom))
+    # whose products neither under- nor overflow.
+    dp = derivative(ChebInterpolant(p.coeffs * _overflow_scale(p.coeffs), UNIT_DOMAIN))
     m = 8 * p.degree + 16
-    grid = dom.from_unit(-np.cos(np.arange(m) * (np.pi / (m - 1))))
-    grid[0], grid[-1] = dom.a, dom.b
+    grid = -np.cos(np.arange(m) * (np.pi / (m - 1)))
+    grid[0], grid[-1] = -1.0, 1.0
     dv = np.sign(evaluate(dp, grid))
-    tol = 1e-13 * (0.5 * dom.width)
+    tol = 1e-13
 
-    candidates = [np.array([dom.a, dom.b]), grid[dv == 0.0]]
+    candidates = [np.array([-1.0, 1.0]), grid[dv == 0.0]]
     sign_flip = np.nonzero(dv[:-1] * dv[1:] < 0.0)[0]
-    lo = grid[sign_flip].copy()
-    hi = grid[sign_flip + 1].copy()
-    flo = dv[sign_flip].copy()
+    lo, hi, flo = grid[sign_flip], grid[sign_flip + 1], dv[sign_flip]
     while lo.size and np.max(hi - lo) > tol:
-        mid = _halfway(lo, hi)
-        quarters = _halfway(lo, mid), _halfway(mid, hi)
+        mid = 0.5 * (lo + hi)
+        quarters = 0.5 * (lo + mid), 0.5 * (mid + hi)
         fm, *fq = np.sign(evaluate(dp, np.stack([mid, *quarters])))
-        step = _sweep(lo, hi, flo, mid, fm, tol)
-        if step is None:
-            break
-        lo, hi, flo, left = step
-        if not np.max(hi - lo) > tol:
-            break
-        step = _sweep(lo, hi, flo, np.where(left, *quarters), np.where(left, *fq), tol)
-        if step is None:
-            break
-        lo, hi, flo, _ = step
-    candidates.append(_halfway(lo, hi))
+        for _ in range(2):
+            if not np.max(hi - lo) > tol:
+                break
+            # Keep the half over which the sign of p' changes, [lo, mid]
+            # where ``left``; its midpoint is the quarter point on that side.
+            left = flo * fm <= 0.0
+            lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+            mid, fm = np.where(left, *quarters), np.where(left, *fq)
+    candidates.append(0.5 * (lo + hi))
 
-    vals = evaluate(p, np.concatenate(candidates))
+    vals = evaluate(ChebInterpolant(p.coeffs, UNIT_DOMAIN), np.concatenate(candidates))
     return float(np.min(vals)), float(np.max(vals))
 
 

@@ -10,6 +10,7 @@ its run-all deck and its golden checks.
 
 from __future__ import annotations
 
+import argparse
 import math
 import operator
 import time
@@ -140,55 +141,36 @@ def run_converge():
     funcs = {"exp": np.exp, "runge": lambda x: 1.0 / (1.0 + 25.0 * x ** 2)}
     ref_g = {k: f(xg) for k, f in funcs.items()}
     ref_u = {k: f(xu) for k, f in funcs.items()}
-    norms_l2 = {k: _cc_norm(wg, v) for k, v in ref_g.items()}
-    norms_sup = {k: float(np.max(np.abs(v))) for k, v in ref_u.items()}
+    norms = {"l2": {k: _cc_norm(wg, v) for k, v in ref_g.items()},
+             "sup": {k: float(np.max(np.abs(v))) for k, v in ref_u.items()}}
 
     eps = 2.0 ** -52
     ns = np.arange(1, CONVERGE_N_MAX + 1)
-    errs_l2 = {k: np.empty(CONVERGE_N_MAX) for k in funcs}
-    errs_sup = {k: np.empty(CONVERGE_N_MAX) for k in funcs}
-    threshold_l2 = None
-    threshold_sup = None
+    errs = {kind: {k: np.empty(CONVERGE_N_MAX) for k in funcs} for kind in norms}
+    threshold = dict.fromkeys(norms)
     for i, n in enumerate(ns):
         for key, f in funcs.items():
             p = interpolant_from_function(f, UNIT, n=int(n))
             v = evaluate(p, xgu)
-            errs_l2[key][i] = _cc_norm(wg, ref_g[key] - v[: xg.size])
-            errs_sup[key][i] = np.max(np.abs(ref_u[key] - v[xg.size :]))
-        if threshold_l2 is None and all(
-            errs_l2[k][i] < eps * norms_l2[k] for k in funcs
-        ):
-            threshold_l2 = int(n)
-        if threshold_sup is None and all(
-            errs_sup[k][i] < eps * norms_sup[k] for k in funcs
-        ):
-            threshold_sup = int(n)
+            errs["l2"][key][i] = _cc_norm(wg, ref_g[key] - v[: xg.size])
+            errs["sup"][key][i] = np.max(np.abs(ref_u[key] - v[xg.size :]))
+        for kind, found in threshold.items():
+            if found is None and all(errs[kind][k][i] < eps * norms[kind][k] for k in funcs):
+                threshold[kind] = int(n)
 
     report = ExperimentReport("converge")
-    report.add_series(
-        "errors",
-        {
-            "n": ns.astype(float),
-            "err_l2_exp": errs_l2["exp"],
-            "err_l2_runge": errs_l2["runge"],
-            "err_sup_exp": errs_sup["exp"],
-            "err_sup_runge": errs_sup["runge"],
-        },
-    )
-    if threshold_l2 is not None:
-        report.add_scalar("threshold_l2", threshold_l2)
-    else:
-        report.metadata["threshold_l2"] = f"not reached within n_max={CONVERGE_N_MAX}"
-    if threshold_sup is not None:
-        report.add_scalar("threshold_sup", threshold_sup)
-    else:
-        report.metadata["threshold_sup"] = f"not reached within n_max={CONVERGE_N_MAX}"
-    report.add_scalar("exp_err_l2_at_20", errs_l2["exp"][19])
-    e = errs_l2["runge"]
+    columns = {f"err_{kind}_{k}": e for kind, by_f in errs.items() for k, e in by_f.items()}
+    report.add_series("errors", {"n": ns.astype(float), **columns})
+    for kind, found in threshold.items():
+        if found is not None:
+            report.add_scalar(f"threshold_{kind}", found)
+        else:
+            report.metadata[f"threshold_{kind}"] = f"not reached within n_max={CONVERGE_N_MAX}"
+    report.add_scalar("exp_err_l2_at_20", errs["l2"]["exp"][19])
+    e = errs["l2"]["runge"]
     ratios = e[59:120] / e[57:118]  # e(n)/e(n-2) for n = 60..120
-    report.add_scalar("runge_ratio_mean", float(np.mean(ratios)))
-    report.add_scalar("runge_ratio_worst", float(np.max(np.abs(
-        ratios - np.mean(ratios)))))
+    report.add_scalar("runge_ratio_mean", np.mean(ratios))
+    report.add_scalar("runge_ratio_worst", np.max(np.abs(ratios - np.mean(ratios))))
     report.metadata["norm"] = "Clenshaw-Curtis weighted L2 plus sup on uniform grid"
     return report
 
@@ -211,13 +193,10 @@ def run_scale():
     )
     report.add_series("errors", {"x": x, "err_full": err_full, "err_scaled": err_part})
     nodes = cheb_points_second_kind(9, full).points
-    report.add_scalar(
-        "max_node_err_full",
-        float(np.max(np.abs(np.sin(nodes) - evaluate(p_full, nodes)))),
-    )
-    report.add_scalar("max_err_full", float(np.max(err_full)))
-    report.add_scalar("max_err_scaled_indomain", float(np.max(err_part[x >= 0.0])))
-    report.add_scalar("err_scaled_at_minus6", float(err_part[0]))
+    report.add_scalar("max_node_err_full", np.max(np.abs(np.sin(nodes) - evaluate(p_full, nodes))))
+    report.add_scalar("max_err_full", np.max(err_full))
+    report.add_scalar("max_err_scaled_indomain", np.max(err_part[x >= 0.0]))
+    report.add_scalar("err_scaled_at_minus6", err_part[0])
     return report
 
 
@@ -259,10 +238,10 @@ def run_coeffs(function_id="atan"):
     if function_id == "atan":
         p = interpolant_from_function(np.arctan, UNIT)
         report.add_series("coefficients", _coeff_series(p))
-        report.add_scalar("a1", float(p.coeffs[1]))
-        report.add_scalar("a3", float(p.coeffs[3]))
-        report.add_scalar("a5", float(p.coeffs[5]))
-        report.add_scalar("length", float(len(p)))
+        report.add_scalar("a1", p.coeffs[1])
+        report.add_scalar("a3", p.coeffs[3])
+        report.add_scalar("a5", p.coeffs[5])
+        report.add_scalar("length", len(p))
     elif function_id == "tanh_sum":
         parts = {
             "f": lambda x: np.tanh(x),
@@ -278,17 +257,17 @@ def run_coeffs(function_id="atan"):
             report.add_series(f"coefficients_{k}", _coeff_series(p))
         simplified = truncate(ps["s"], 2.0 ** -52)
         report.add_series("coefficients_s_truncated", _coeff_series(simplified))
-        report.add_scalar("length_sum", float(len(ps["s"])))
-        report.add_scalar("length_sum_truncated", float(len(simplified)))
+        report.add_scalar("length_sum", len(ps["s"]))
+        report.add_scalar("length_sum_truncated", len(simplified))
     elif function_id == "stripe":
         p = interpolant_from_function(
             lambda x: np.exp(x) / (1.0 + 10000.0 * x ** 2), UNIT
         )
         report.add_series("coefficients", _coeff_series(p))
         c = np.abs(p.coeffs[:51])
-        report.add_scalar("even_significant", float(np.sum(c[0::2] > PARITY_TOL)))
-        report.add_scalar("odd_significant", float(np.sum(c[1::2] > PARITY_TOL)))
-        report.add_scalar("length", float(len(p)))
+        report.add_scalar("even_significant", np.sum(c[0::2] > PARITY_TOL))
+        report.add_scalar("odd_significant", np.sum(c[1::2] > PARITY_TOL))
+        report.add_scalar("length", len(p))
     else:
         raise ValueError(f"unknown coeffs function id {function_id!r}")
     return report
@@ -360,7 +339,7 @@ def run_gamma(
     xd = np.linspace(0.0, GAMMA_SPAN, FOURIER_DENSE)
     report.add_series("cheb_dense", {"t": xd, "p": evaluate(p, xd)})
     report.add_series("cheb_at_nodes", {"t": t, "p": cheb_at_samples})
-    report.add_scalar("cheb_max_node_error", float(node_err))
+    report.add_scalar("cheb_max_node_error", node_err)
     cheb_peak = float(np.max(cheb_at_samples))
     report.add_scalar("cheb_peak", cheb_peak)
     report.add_scalar("cheb_peak_gap", abs(observed_max - cheb_peak))
@@ -370,10 +349,7 @@ def run_gamma(
         dense = resample_spectral(observed, FOURIER_DENSE)
         keep = dense.t <= GAMMA_SPAN * (1 + 1e-12)
         report.add_series("fourier_dense", {"t": dense.t[keep], "p": dense.y[keep]})
-        report.add_scalar(
-            "fourier_max_node_error",
-            float(np.max(np.abs(fourier_at_nodes - observed.y))),
-        )
+        report.add_scalar("fourier_max_node_error", np.max(np.abs(fourier_at_nodes - observed.y)))
         fourier_peak = float(np.max(dense.y[keep]))
         report.add_scalar("fourier_peak", fourier_peak)
         report.add_scalar("fourier_peak_gap", abs(observed_max - fourier_peak))
@@ -398,13 +374,10 @@ def run_spectrum():
             "polar_rho": amps,
         },
     )
-    report.add_scalar("dc_amplitude", float(amps[0]))
-    report.add_scalar("sum_sq_values", float(np.sum(clean.y ** 2)))
-    report.add_scalar(
-        "sum_sq_spectrum_over_n",
-        float(np.sum(amps ** 2) / len(clean)),
-    )
-    report.add_scalar("length", float(freqs.size))
+    report.add_scalar("dc_amplitude", amps[0])
+    report.add_scalar("sum_sq_values", np.sum(clean.y ** 2))
+    report.add_scalar("sum_sq_spectrum_over_n", np.sum(amps ** 2) / len(clean))
+    report.add_scalar("length", freqs.size)
     return report
 
 
@@ -416,8 +389,8 @@ def run_deviation():
     dev = np.abs(evaluate(p, nodes) - clean.y)
     report = ExperimentReport("deviation")
     report.add_series("deviation", {"t": clean.t, "abs_deviation": dev})
-    report.add_scalar("mean_abs_deviation", float(np.mean(dev)))
-    report.add_scalar("max_deviation", float(np.max(dev)))
+    report.add_scalar("mean_abs_deviation", np.mean(dev))
+    report.add_scalar("max_deviation", np.max(dev))
     return report
 
 
@@ -432,10 +405,8 @@ def run_filter(seed=0, window=5):
         "overlay",
         {"t": t, "raw": noisy.y, "clean": clean.y, "filtered": filtered.y},
     )
-    report.add_scalar("rms_raw", float(np.sqrt(np.mean((noisy.y - clean.y) ** 2))))
-    report.add_scalar(
-        "rms_filtered", float(np.sqrt(np.mean((filtered.y - clean.y) ** 2)))
-    )
+    report.add_scalar("rms_raw", np.sqrt(np.mean((noisy.y - clean.y) ** 2)))
+    report.add_scalar("rms_filtered", np.sqrt(np.mean((filtered.y - clean.y) ** 2)))
     report.metadata.update(window=str(window), seed=str(seed))
     return report
 
@@ -474,7 +445,7 @@ def run_nodes(n=100):
                 f"mean_distance_{count}_{label}",
                 {"x": pts, "gm_distance": mean_distance(pts)},
             )
-    report.add_scalar("smallest_nonzero_midpoint", float(smallest_nonzero_midpoint()))
+    report.add_scalar("smallest_nonzero_midpoint", smallest_nonzero_midpoint())
     return report
 
 
@@ -491,14 +462,25 @@ def run_condition():
             "cond_monomial": mono_sweep,
         },
     )
-    report.add_scalar("cond_chebyshev_deg10", float(cheb_sweep[-1]))
-    report.add_scalar("cond_monomial_deg10", float(mono_sweep[-1]))
+    report.add_scalar("cond_chebyshev_deg10", cheb_sweep[-1])
+    report.add_scalar("cond_monomial_deg10", mono_sweep[-1])
     mono01 = build_basis_matrix(Basis.MONOMIAL, Domain(0.0, 1.0), 10)
     report.add_scalar("cond_monomial_01_deg10", condition_number(mono01))
     sv = singular_values(build_basis_matrix(Basis.CHEBYSHEV, UNIT, 10))
-    report.add_scalar("sigma_max_chebyshev", float(sv[0]))
-    report.add_scalar("sigma_min_chebyshev", float(sv[-1]))
+    report.add_scalar("sigma_max_chebyshev", sv[0])
+    report.add_scalar("sigma_min_chebyshev", sv[-1])
     return report
+
+
+def _at_least(minimum):
+    """An argparse ``type``: an int >= minimum, else a usage error that
+    argparse reports under the option's name."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _scalar(quantity, reports):
@@ -596,7 +578,7 @@ ARCTAN_COEFFS = {"a1": 0.828427124746190, "a3": -0.047378541243650, "a5": 0.0048
 EXPERIMENTS = {
     "random": Experiment(
         "interpolate random data", lambda o: [run_random(o.n, o.seed)],
-        {"--n": dict(type=int, default=10, help="point count (default 10)")},
+        {"--n": dict(type=_at_least(2), default=10, help="point count (default 10)")},
         seed=True, deck=({"n": 10}, {"n": 1000}), checks=(
             Check("random: report schema", lambda r, seed: (
                 {"min", "max", "elapsed_seconds"} <= set(r["random_10"].scalars)

@@ -15,13 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .cheb import _finite
 from .svg import write_line_plot
 
-__all__ = ["Series", "ExperimentReport", "format_float", "write_report"]
-
-
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
+__all__ = ["Series", "ExperimentReport", "write_report"]
 
 
 @dataclass
@@ -62,10 +59,8 @@ class ExperimentReport:
     def add_series(self, label: str, columns: dict) -> None:
         if any(s.label == label for s in self.series):
             raise ValueError(f"duplicate series label {label!r}")
-        cols = {k: np.asarray(v, dtype=float) for k, v in columns.items()}
-        for key, arr in cols.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"series {label!r} column {key!r} has non-finite values")
+        cols = {k: _finite(v, f"series {label!r} column {k!r} has non-finite values")
+                for k, v in columns.items()}
         self.series.append(Series(label, cols))
 
     def get_series(self, label: str) -> Series:
@@ -77,10 +72,10 @@ class ExperimentReport:
 
 def _write_series_csv(path: Path, series: Series) -> None:
     names = list(series.columns)
-    cols = [series.columns[n] for n in names]
+    cols = [series.columns[n].tolist() for n in names]
     lines = [",".join(names)]
     for row in zip(*cols):
-        lines.append(",".join(format_float(v) for v in row))
+        lines.append(",".join(format(v, ".17g") for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

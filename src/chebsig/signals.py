@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb import _count
+from .cheb import _count, _finite
 
 __all__ = [
     "Signal",
@@ -45,8 +45,7 @@ class Signal:
         y = np.asarray(self.y, dtype=float)
         if t.ndim != 1 or t.size < 2 or t.shape != y.shape:
             raise ValueError("t and y must be 1-D, equal length >= 2")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-            raise ValueError("samples must be finite")
+        _finite([t, y], "samples must be finite")
         if np.any(t[1:] <= t[:-1]):
             raise ValueError("t must be strictly increasing")
         span = float(t[-1]) - float(t[0])

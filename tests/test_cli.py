@@ -27,6 +27,21 @@ def test_nodes_takes_no_seed():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--seed", "-1"] for name, e in exp.EXPERIMENTS.items() if e.seed]
+    + [["run-all", "--seed", "-1"], ["random", "--n", "1"]],
+    ids="_".join,
+)
+def test_out_of_range_option_is_usage_error_naming_it(argv, capsys):
+    # Parsing rejects it before anything runs; gamma's seed goes unused with
+    # --noise off, and numpy's own message for a negative seed names no option.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {argv[1]}: must be an integer >= " in capsys.readouterr().err
+
+
 def test_nodes_writes_layout(tmp_path, capsys):
     code = main(["nodes", "--n", "20", "--out", str(tmp_path)])
     assert code == 0

@@ -5,7 +5,7 @@ import pytest
 
 from chebsig import experiments as exp
 from chebsig.cheb import evaluate, interpolant_from_values
-from chebsig.report import ExperimentReport, format_float, write_report
+from chebsig.report import ExperimentReport, write_report
 
 
 class TestRandom:
@@ -150,9 +150,12 @@ class TestCondition:
 
 
 class TestReportWriter:
-    def test_float_format_round_trips(self):
-        for x in (1 / 3, np.pi, 1e-300, 123456.789, 0.0):
-            assert float(format_float(x)) == x
+    def test_float_format_round_trips(self, tmp_path):
+        xs = [1 / 3, np.pi, 1e-300, 123456.789, 0.0]
+        r = ExperimentReport("demo")
+        r.add_series("values", {"x": xs})
+        lines = (write_report(r, tmp_path) / "values.csv").read_text().splitlines()
+        assert [float(v) for v in lines[1:]] == xs
 
     def test_write_and_layout(self, tmp_path):
         r = ExperimentReport("demo")

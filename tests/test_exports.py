@@ -21,15 +21,14 @@ def test_star_import(module):
 
 def test_package_exports_the_module_lists():
     # A name dropped from one module's __all__ but kept in the package (or
-    # the reverse) fails here; report.format_float is the one name the
-    # package leaves to its module.
+    # the reverse) fails here.
     modules = ["cheb", "conditioning", "fourier", "nodes", "report", "signals"]
     listed = set().union(*(importlib.import_module(f"chebsig.{m}").__all__ for m in modules))
     public = {
         name for name, value in vars(chebsig).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert public == listed - {"format_float"}
+    assert public == listed
 
 
 UNIT = chebsig.Domain(-1.0, 1.0)

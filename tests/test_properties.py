@@ -745,24 +745,29 @@ def _two_tone(degree, rng, domain):
 @given(st.integers(min_value=0, max_value=1000),
        st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.sampled_from(["uniform", "two-tone", "monotone", "zero"]),
-       st.one_of(st.floats(min_value=-300.0, max_value=300.0), st.just("stalled")))
+       st.one_of(st.floats(min_value=-323.0, max_value=300.0), st.just("far")))
 @example(999, 0, "two-tone", 0.0)
 @example(1000, 1, "uniform", math.log10(2.0))
-@example(60, 2, "two-tone", "stalled")
+@example(60, 2, "two-tone", "far")
 @example(300, 3, "uniform", -300.0)
 @example(300, 4, "uniform", 300.0)
 @example(40, 5, "monotone", 0.0)
 @example(0, 6, "uniform", 0.0)
 @example(7, 7, "zero", 0.0)
+@example(999, 8, "two-tone", -305.0)
+@example(999, 9, "uniform", -320.0)
+@example(300, 10, "uniform", math.log10(5e-324))
 def test_min_and_max_is_bit_identical_to_textbook_bisection(degree, seed, kind, log10_width):
-    # Widths 1e-300 to 1e300, placed anywhere from [-2w, -w] to [w, 2w];
-    # "stalled" is [6000, 6010], where adjacent floats lie 9.1e-13 apart,
-    # over the tolerance 5e-13, so brackets stop narrowing before it.
+    # Widths 1e-323 (two subnormal steps) to 1e300, placed anywhere from
+    # [-2w, -w] to [w, 2w]; "far" is [6000, 6010], where adjacent floats lie
+    # 9.1e-13 apart, wider than 1e-13 of the half-width, yet no bracket
+    # stalls: the search runs on the unit series, so p on any domain must
+    # give the bits of the serial loop on its [-1, 1] copy.
     # "monotone" (s + s^3) has no bracket.  Candidates and extrema must
     # keep every bit, and the search may make no more passes than the
     # serial loop.
     rng = np.random.default_rng(seed)
-    if log10_width == "stalled":
+    if log10_width == "far":
         dom = Domain(6000.0, 6010.0)
     else:
         w = 10.0 ** log10_width
@@ -778,7 +783,7 @@ def test_min_and_max_is_bit_identical_to_textbook_bisection(degree, seed, kind, 
     if degree == 0:
         p = ChebInterpolant(p.coeffs[:1], dom)
     with _evaluate_calls() as serial:
-        want = _textbook_min_and_max(p)
+        want = _textbook_min_and_max(ChebInterpolant(p.coeffs, Domain(-1.0, 1.0)))
     with _evaluate_calls(len(serial)) as calls:
         got = cheb.min_and_max(p)
     assert _bits(got).tobytes() == _bits(want).tobytes()
