@@ -322,19 +322,19 @@ def _count(value, name: str, minimum: int) -> int:
 
 
 def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at ascending second-kind points.
+    """Chebyshev coefficients from values at ascending second-kind points,
+    along the last axis.
 
     Realized as a type-I fast cosine transform: the values are reflected
     into an even sequence of length 2n and pushed through a real FFT.
     """
-    n = values.size - 1
+    n = values.shape[-1] - 1
     scale = _overflow_scale(values)
-    ext = np.empty(2 * n)  # samples at cos(m*pi/n), m = 0..2n-1
-    np.multiply(values[::-1], scale, out=ext[: n + 1])
-    np.multiply(values[1:-1], scale, out=ext[n + 1 :])
-    coeffs = np.fft.rfft(ext)[: n + 1].real
-    coeffs[0] *= 0.5
-    coeffs[n] *= 0.5
+    ext = np.empty(values.shape[:-1] + (2 * n,))  # samples at cos(m*pi/n), m = 0..2n-1
+    np.multiply(values[..., ::-1], scale, out=ext[..., : n + 1])
+    np.multiply(values[..., 1:-1], scale, out=ext[..., n + 1 :])
+    coeffs = np.fft.rfft(ext)[..., : n + 1].real
+    coeffs[..., ::n] *= 0.5  # the first and last
     return _unscaled(coeffs, n * scale, "the series coefficients overflow")
 
 
@@ -610,62 +610,79 @@ def derivative(p: ChebInterpolant) -> ChebInterpolant:
     if n == 0:
         return ChebInterpolant(np.zeros(1), p.domain)
     scale = _overflow_scale(p.coeffs)
-    c = p.coeffs * scale
-    b = np.zeros(n + 2)
-    for k in range(n, 0, -1):
-        b[k - 1] = b[k + 1] + 2.0 * k * c[k]
+    # u = b_{n+1}, b_n, ..., b_0 holds two running sums, every other entry
+    # each, which np.cumsum adds in the recurrence's order, k = n down to 1.
+    u = np.zeros(n + 2)
+    u[2:] = 2.0 * np.arange(n, 0, -1) * (p.coeffs[:0:-1] * scale)
+    u[0::2], u[1::2] = np.cumsum(u[0::2]), np.cumsum(u[1::2])
+    b = u[:1:-1]
     b[0] *= 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        b = b[:n] * (2.0 / p.domain.width)
+        b = b * (2.0 / p.domain.width)
     return ChebInterpolant(_unscaled(b, scale, "the derivative coefficients overflow"), p.domain)
+
+
+def _colleague_roots(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the colleague matrices of the rows of a, ascending
+    Chebyshev coefficients.  A row cut after its last coefficient above eps
+    times its largest has degree d; its m x m matrix (m = a.shape[1] - 1)
+    is the colleague matrix in its leading d x d block and 3.0 on the rest
+    of the diagonal, so a zero leading coefficient is never divided by."""
+    m = a.shape[1] - 1
+    big = np.abs(a) > _EPS * np.abs(a).max(axis=1, keepdims=True)
+    d = np.max(big * np.arange(m + 1), axis=1)
+    r = np.arange(m)
+    c = np.zeros((a.shape[0], m, m))
+    c[:, r[1:], r[:-1]] = c[:, r[:-1], r[1:]] = np.where(r[1:] < d[:, None], 0.5, 0.0)
+    c[:, :1, 1:2] *= 2.0  # x T_0 = T_1
+    c[:, r, r] = np.where(r < d[:, None], 0.0, 3.0)
+    i = np.flatnonzero(d)
+    lead = a[i, d[i]] * np.where(d[i] == 1, 1.0, 2.0)
+    c[i, d[i] - 1] -= np.where(r < d[i, None], a[i, :m], 0.0) / lead[:, None]
+    return np.linalg.eigvals(c)
+
+
+#: min_and_max's proxies of p' have this degree, with a piece of [-1, 1] per
+#: _DEGREES_PER_PIECE degrees of p'; an eigenvalue within _ROOT_SLACK of its
+#: piece (half-width 1) in real and imaginary part counts as a root.
+_PROXY_DEGREE, _DEGREES_PER_PIECE, _ROOT_SLACK = 32, 12, 1e-2
 
 
 def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
     """Global minimum and maximum of the interpolant over its domain.
 
     p on [a, b] is the series on [-1, 1] composed with an affine map, so
-    the search runs on the unit series, the same bits on every domain.  It
-    brackets sign changes of p' on a Chebyshev-spaced grid of
-    8*degree + 16 points (endpoints pinned to -1 and 1), bisects each
-    bracket to 1e-13, and compares the candidate values together with the
-    endpoints.  Floats in [-1, 1] lie at most 2^-53 apart, so the midpoint
-    of a bracket wider than 1e-13 lies strictly inside it.  Near the ends
-    the extrema of a degree-n polynomial crowd to O(n^-2) spacing, which a
-    uniform grid of the same size cannot resolve.
-
-    Two sweeps share one Clenshaw pass: it signs each bracket's midpoint
-    and both quarter points, the midpoints the next sweep forms whichever
-    half is kept.  Clenshaw rounds every point apart from its batch, so the
-    midpoints, the rules and every bit are those of the serial bisection.
+    the search runs on the unit series, the same bits on every domain.
+    Roots of p' come from local Chebyshev proxies (Boyd 2013, *SIAM Review*
+    55; Trefethen, *ATAP*, ch. 18): one Clenshaw pass samples p' on K pieces
+    with breakpoints -cos(i pi / K), which crowd to the ends as the extrema
+    do; one FFT gives the proxies and one ``eigvals`` all their roots.  A
+    p' of degree at most ``_PROXY_DEGREE`` is its own proxy.  One Newton
+    step polishes each root, and p is compared there and at -1 and 1.
     """
-    # Only the sign of p' is used: bracket on the derivative of p scaled by
-    # a power of two, which fits where p' itself may not, and multiply signs,
-    # whose products neither under- nor overflow.
-    dp = derivative(ChebInterpolant(p.coeffs * _overflow_scale(p.coeffs), UNIT_DOMAIN))
-    m = 8 * p.degree + 16
-    grid = -np.cos(np.arange(m) * (np.pi / (m - 1)))
-    grid[0], grid[-1] = -1.0, 1.0
-    dv = np.sign(evaluate(dp, grid))
-    tol = 1e-13
-
-    candidates = [np.array([-1.0, 1.0]), grid[dv == 0.0]]
-    sign_flip = np.nonzero(dv[:-1] * dv[1:] < 0.0)[0]
-    lo, hi, flo = grid[sign_flip], grid[sign_flip + 1], dv[sign_flip]
-    while lo.size and np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        quarters = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        fm, *fq = np.sign(evaluate(dp, np.stack([mid, *quarters])))
-        for _ in range(2):
-            if not np.max(hi - lo) > tol:
-                break
-            # Keep the half over which the sign of p' changes, [lo, mid]
-            # where ``left``; its midpoint is the quarter point on that side.
-            left = flo * fm <= 0.0
-            lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
-            mid, fm = np.where(left, *quarters), np.where(left, *fq)
-    candidates.append(0.5 * (lo + hi))
-
-    vals = evaluate(ChebInterpolant(p.coeffs, UNIT_DOMAIN), np.concatenate(candidates))
+    # The roots of p' are those of the derivative of p scaled by a power of
+    # two, which fits in a float where p' itself may not.
+    dp = derivative(ChebInterpolant(np.ldexp(p.coeffs, -math.frexp(np.abs(p.coeffs).max())[1]),
+                                    UNIT_DOMAIN))
+    if dp.degree > _PROXY_DEGREE:
+        k = dp.degree // _DEGREES_PER_PIECE
+        t = -np.cos(np.arange(k + 1) * (np.pi / k))
+        centre, half = 0.5 * (t[1:] + t[:-1]), 0.5 * (t[1:] - t[:-1])
+        s = centre[:, None] + half[:, None] * _second_kind_unit_points(_PROXY_DEGREE)
+        a = _values_to_coeffs(evaluate(dp, s))
+    else:
+        centre, half, a = np.zeros(1), np.ones(1), dp.coeffs[None]
+    lam = _colleague_roots(a)
+    piece, j = np.nonzero((np.abs(lam.imag) <= _ROOT_SLACK)
+                          & (np.abs(lam.real) <= 1.0 + _ROOT_SLACK))
+    # A root rounded to 2^-24 of its half-width, far below the proxy's error,
+    # starts Newton at the same bits whatever CPU eigvals ran on.
+    x = centre[piece] + half[piece] * (np.round(lam.real[piece, j] * 2.0 ** 24) / 2.0 ** 24)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = evaluate(dp, x) / evaluate(derivative(dp), x)
+        x = np.where(np.abs(step) <= _ROOT_SLACK * half[piece], x - step, x)
+    x = np.concatenate([[-1.0, 1.0], np.clip(x, -1.0, 1.0)])
+    vals = evaluate(ChebInterpolant(p.coeffs, UNIT_DOMAIN), x)
     return float(np.min(vals)), float(np.max(vals))
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .cheb import (
     Domain,
     UnresolvedFunctionError,
+    _count,
     cheb_points_first_kind,
     cheb_points_second_kind,
     evaluate,
@@ -101,8 +102,7 @@ PARITY_TOL = 1e-14
 
 def run_random(points=10, seed=0):
     """Interpolate seeded uniform(-1, 1) data at second-kind points."""
-    if points < 2:
-        raise ValueError("need at least 2 points")
+    points, seed = _count(points, "points", 2), _count(seed, "seed", 0)
     data = np.random.default_rng(seed).uniform(-1.0, 1.0, points)
     start = time.perf_counter()
     p = interpolant_from_values(data, UNIT)
@@ -364,16 +364,8 @@ def run_spectrum():
     clean, _ = _gamma_samples("even", False, 0, "sorted")
     freqs, amps, phases = amplitude_spectrum(clean)
     report = ExperimentReport("spectrum")
-    report.add_series(
-        "spectrum",
-        {
-            "frequency": freqs,
-            "amplitude": amps,
-            "phase": phases,
-            "polar_theta": 2 * np.pi * freqs,
-            "polar_rho": amps,
-        },
-    )
+    report.add_series("spectrum", {"frequency": freqs, "amplitude": amps, "phase": phases,
+                                   "polar_theta": 2 * np.pi * freqs, "polar_rho": amps})
     report.add_scalar("dc_amplitude", amps[0])
     report.add_scalar("sum_sq_values", np.sum(clean.y ** 2))
     report.add_scalar("sum_sq_spectrum_over_n", np.sum(amps ** 2) / len(clean))
@@ -413,24 +405,16 @@ def run_filter(seed=0, window=5):
 
 def run_nodes(n=100):
     """Node tables, node-set comparisons, and mean-distance profiles."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _count(n, "n", 2)
     report = ExperimentReport("nodes")
     report.metadata["n"] = str(n)
     first = cheb_points_first_kind(n)
     second = cheb_points_second_kind(n - 1)
     leg = legendre_points(n)
     uni = uniform_points(n)
-    report.add_series(
-        "node_tables",
-        {
-            "index": np.arange(n, dtype=float),
-            "first_kind": first.points,
-            "second_kind": second.points,
-            "legendre": leg.points,
-            "uniform": uni.points,
-        },
-    )
+    report.add_series("node_tables", {
+        "index": np.arange(n, dtype=float), "first_kind": first.points,
+        "second_kind": second.points, "legendre": leg.points, "uniform": uni.points})
     # The 0.0084 reference value belongs to the chebpts-style grid, which
     # is the second-kind set; the true first-kind comparison is reported too.
     report.add_scalar("compare_max_diff", compare_nodes(second, leg))
@@ -454,14 +438,8 @@ def run_condition():
     report = ExperimentReport("condition")
     cheb_sweep = conditioning_sweep(Basis.CHEBYSHEV, UNIT, 10)
     mono_sweep = conditioning_sweep(Basis.MONOMIAL, UNIT, 10)
-    report.add_series(
-        "sweep",
-        {
-            "degree": np.arange(11, dtype=float),
-            "cond_chebyshev": cheb_sweep,
-            "cond_monomial": mono_sweep,
-        },
-    )
+    report.add_series("sweep", {"degree": np.arange(11, dtype=float),
+                                "cond_chebyshev": cheb_sweep, "cond_monomial": mono_sweep})
     report.add_scalar("cond_chebyshev_deg10", cheb_sweep[-1])
     report.add_scalar("cond_monomial_deg10", mono_sweep[-1])
     mono01 = build_basis_matrix(Basis.MONOMIAL, Domain(0.0, 1.0), 10)

@@ -575,10 +575,21 @@ class TestMinAndMax:
         assert hi == pytest.approx(dense.max(), abs=1e-8)
 
     def test_extrema_near_the_float_limit(self):
-        # p' = 1e308 T_10' overflows; its sign is all the search needs.
+        # p' = 1e308 T_10' overflows; the search takes the roots of p' from
+        # the derivative of p scaled by a power of two, which fits.
         lo, hi = min_and_max(ChebInterpolant([0.0] * 10 + [1e308], UNIT))
         assert lo == pytest.approx(-1e308, rel=1e-15)
         assert hi == pytest.approx(1e308, rel=1e-15)
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ([1.0, 2.0], (-1.0, 3.0)),  # degree 1: p' has degree 0
+        ([0.0, 0.0, 1.0, 0.0], (-1.0, 1.0)),  # p' = [0, 4, 0]: its own proxy
+        ([0.0, 0.0, 1.0] + [0.0] * 97, (-1.0, 1.0)),  # proxies of p' = 4 s
+    ])
+    def test_zero_leading_coefficients(self, coeffs, want):
+        # A proxy whose leading coefficients are 0 is cut to its degree:
+        # no division by 0, and so no RuntimeWarning.
+        assert min_and_max(ChebInterpolant(coeffs, UNIT)) == want
 
     def test_endpoint_extrema(self):
         p = interpolant_from_function(np.exp, Domain(-1.0, 1.0), n=20)

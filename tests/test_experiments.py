@@ -26,6 +26,19 @@ class TestRandom:
         assert r.scalars["min"] <= scan.min() and r.scalars["max"] >= scan.max()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: exp.run_random(2.5), "points"),
+    (lambda: exp.run_random(1), "points"),
+    (lambda: exp.run_random(10, -1), "seed"),
+    (lambda: exp.run_random(10, 1.0), "seed"),
+    (lambda: exp.run_nodes(2.5), "n"),
+    (lambda: exp.run_nodes(1), "n"),
+])
+def test_drivers_name_their_bad_arguments(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        call()
+
+
 class TestConverge:
 
     def test_both_norms_recorded(self, run_all_twice):
