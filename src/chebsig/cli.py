@@ -24,7 +24,7 @@ def _common(parser, seed):
                         help="run the golden assertions on the command's run-all "
                              "deck and exit nonzero on failure")
     if seed:
-        parser.add_argument("--seed", type=exp._at_least(0), default=0,
+        parser.add_argument("--seed", type=int, default=0,
                             help="PCG64 seed for anything random (default 0)")
 
 

@@ -10,7 +10,6 @@ its run-all deck and its golden checks.
 
 from __future__ import annotations
 
-import argparse
 import math
 import operator
 import time
@@ -21,6 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .cheb import (
+    _EPS,
+    UNIT_DOMAIN,
     Domain,
     UnresolvedFunctionError,
     _count,
@@ -84,8 +85,6 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-UNIT = Domain(-1.0, 1.0)
-
 GAMMA_SPAN = 3 * np.pi
 GAMMA_SAMPLES = 31
 GAMMA_DOMAIN = Domain(0.0, GAMMA_SPAN)
@@ -100,20 +99,20 @@ CONVERGE_N_MAX = 300
 PARITY_TOL = 1e-14
 
 
-def run_random(points=10, seed=0):
-    """Interpolate seeded uniform(-1, 1) data at second-kind points."""
-    points, seed = _count(points, "points", 2), _count(seed, "seed", 0)
-    data = np.random.default_rng(seed).uniform(-1.0, 1.0, points)
+def run_random(n=10, seed=0):
+    """Interpolate seeded uniform(-1, 1) data at n second-kind points."""
+    n, seed = _count(n, "n", 2), _count(seed, "seed", 0)
+    data = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     start = time.perf_counter()
-    p = interpolant_from_values(data, UNIT)
+    p = interpolant_from_values(data)
     lo, hi = min_and_max(p)
     elapsed = time.perf_counter() - start
 
-    report = ExperimentReport(f"random_{points}")
+    report = ExperimentReport(f"random_{n}")
     report.add_scalar("min", lo)
     report.add_scalar("max", hi)
     report.add_scalar("elapsed_seconds", elapsed)
-    report.metadata.update(points=str(points), seed=str(seed))
+    report.metadata.update(points=str(n), seed=str(seed))
     xd = np.linspace(-1.0, 1.0, 2001)
     report.add_series("dense", {"x": xd, "p": evaluate(p, xd)})
     xz = np.linspace(0.9999, 1.0, 201)
@@ -133,7 +132,7 @@ def run_converge():
     which both L2 errors drop below 2^-52 times the function norm.
     """
     grid_n = 2047
-    xg = cheb_points_second_kind(grid_n, UNIT).points
+    xg = cheb_points_second_kind(grid_n).points
     wg = clenshaw_curtis_weights(grid_n)
     xu = np.linspace(-1.0, 1.0, 10001)
     xgu = np.concatenate([xg, xu])  # one Clenshaw pass per interpolant
@@ -144,18 +143,17 @@ def run_converge():
     norms = {"l2": {k: _cc_norm(wg, v) for k, v in ref_g.items()},
              "sup": {k: float(np.max(np.abs(v))) for k, v in ref_u.items()}}
 
-    eps = 2.0 ** -52
     ns = np.arange(1, CONVERGE_N_MAX + 1)
     errs = {kind: {k: np.empty(CONVERGE_N_MAX) for k in funcs} for kind in norms}
     threshold = dict.fromkeys(norms)
     for i, n in enumerate(ns):
         for key, f in funcs.items():
-            p = interpolant_from_function(f, UNIT, n=int(n))
+            p = interpolant_from_function(f, n=int(n))
             v = evaluate(p, xgu)
             errs["l2"][key][i] = _cc_norm(wg, ref_g[key] - v[: xg.size])
             errs["sup"][key][i] = np.max(np.abs(ref_u[key] - v[xg.size :]))
         for kind, found in threshold.items():
-            if found is None and all(errs[kind][k][i] < eps * norms[kind][k] for k in funcs):
+            if found is None and all(errs[kind][k][i] < _EPS * norms[kind][k] for k in funcs):
                 threshold[kind] = int(n)
 
     report = ExperimentReport("converge")
@@ -182,15 +180,11 @@ def run_scale():
     p_full = interpolant_from_function(np.sin, full, n=9)
     p_part = interpolant_from_function(np.sin, part, n=9)
     x = np.linspace(-6.0, 6.0, 1000)
-    err_full = np.abs(np.sin(x) - evaluate(p_full, x))
-    err_part = np.abs(np.sin(x) - evaluate(p_part, x))  # extrapolates below 0
+    v_full, v_part = evaluate(p_full, x), evaluate(p_part, x)  # v_part extrapolates below 0
+    err_full, err_part = np.abs(np.sin(x) - v_full), np.abs(np.sin(x) - v_part)
 
     report = ExperimentReport("scale")
-    report.add_series(
-        "overlay",
-        {"x": x, "sin": np.sin(x), "p_full": evaluate(p_full, x),
-         "p_scaled": evaluate(p_part, x)},
-    )
+    report.add_series("overlay", {"x": x, "sin": np.sin(x), "p_full": v_full, "p_scaled": v_part})
     report.add_series("errors", {"x": x, "err_full": err_full, "err_scaled": err_part})
     nodes = cheb_points_second_kind(9, full).points
     report.add_scalar("max_node_err_full", np.max(np.abs(np.sin(nodes) - evaluate(p_full, nodes))))
@@ -211,7 +205,7 @@ def run_wavelen():
             ("runge", lambda x, k=k: 1.0 / (1.0 + (k * x) ** 2)),
         ):
             try:
-                lengths[key].append(float(len(interpolant_from_function(f, UNIT))))
+                lengths[key].append(float(len(interpolant_from_function(f))))
             except UnresolvedFunctionError:
                 lengths[key].append(-1.0)
                 unresolved.append(f"{key}@k={k}")
@@ -236,7 +230,7 @@ def run_coeffs(function_id="atan"):
     """Chebyshev coefficient magnitudes of selected test functions."""
     report = ExperimentReport(f"coeffs_{function_id}")
     if function_id == "atan":
-        p = interpolant_from_function(np.arctan, UNIT)
+        p = interpolant_from_function(np.arctan)
         report.add_series("coefficients", _coeff_series(p))
         report.add_scalar("a1", p.coeffs[1])
         report.add_scalar("a3", p.coeffs[3])
@@ -248,7 +242,7 @@ def run_coeffs(function_id="atan"):
             "g": lambda x: 1e-5 * np.tanh(10 * x),
             "h": lambda x: 1e-10 * np.tanh(100 * x),
         }
-        ps = {k: interpolant_from_function(f, UNIT) for k, f in parts.items()}
+        ps = {k: interpolant_from_function(f) for k, f in parts.items()}
         # The sum is formed in coefficient space, so the huge small-scale
         # tail of h survives verbatim until truncation removes everything
         # negligible against the summed scale.
@@ -260,9 +254,7 @@ def run_coeffs(function_id="atan"):
         report.add_scalar("length_sum", len(ps["s"]))
         report.add_scalar("length_sum_truncated", len(simplified))
     elif function_id == "stripe":
-        p = interpolant_from_function(
-            lambda x: np.exp(x) / (1.0 + 10000.0 * x ** 2), UNIT
-        )
+        p = interpolant_from_function(lambda x: np.exp(x) / (1.0 + 10000.0 * x ** 2))
         report.add_series("coefficients", _coeff_series(p))
         c = np.abs(p.coeffs[:51])
         report.add_scalar("even_significant", np.sum(c[0::2] > PARITY_TOL))
@@ -273,7 +265,7 @@ def run_coeffs(function_id="atan"):
     return report
 
 
-def _gamma_samples(spacing, noise, seed, uneven_mode):
+def _gamma_samples(spacing, sigma, seed, uneven_mode):
     if spacing == "even":
         t = np.linspace(0.0, GAMMA_SPAN, GAMMA_SAMPLES)
     elif spacing == "uneven":
@@ -281,7 +273,7 @@ def _gamma_samples(spacing, noise, seed, uneven_mode):
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
     clean = gamma_variate(GAMMA_PARAMS, t)
-    observed = add_noise(clean, NOISE_SIGMA, seed) if noise else clean
+    observed = add_noise(clean, sigma, seed)
     return clean, observed
 
 
@@ -302,7 +294,8 @@ def run_gamma(
     meaningful reconstruction.  The Fourier route needs an even grid and is recorded
     as unsupported, not raised, when the grid is uneven.
     """
-    clean, observed = _gamma_samples(spacing, noise, seed, uneven_mode)
+    sigma = NOISE_SIGMA if noise else 0.0
+    clean, observed = _gamma_samples(spacing, sigma, seed, uneven_mode)
     t = observed.t
     report = ExperimentReport(
         f"gamma_{spacing}_{'noise' if noise else 'clean'}"
@@ -312,7 +305,7 @@ def run_gamma(
         noise="on" if noise else "off",
         seed=str(seed),
         cheb_fit=cheb_fit,
-        sigma=str(NOISE_SIGMA if noise else 0.0),
+        sigma=str(sigma),
     )
     if spacing == "uneven":
         report.metadata["uneven_mode"] = uneven_mode
@@ -328,8 +321,7 @@ def run_gamma(
         cheb_at_samples = evaluate_barycentric(observed.y, cheb_nodes, cheb_nodes.points)
         node_err = np.max(np.abs(evaluate(p, cheb_nodes.points) - observed.y))
     elif cheb_fit == "resample":
-        gen = gamma_variate(GAMMA_PARAMS, cheb_nodes.points)
-        gen = add_noise(gen, NOISE_SIGMA, seed) if noise else gen
+        gen = add_noise(gamma_variate(GAMMA_PARAMS, cheb_nodes.points), sigma, seed)
         p = interpolant_from_values(gen.y, GAMMA_DOMAIN)
         cheb_at_samples = evaluate(p, t)
         node_err = np.max(np.abs(cheb_at_samples - observed.y))
@@ -347,7 +339,7 @@ def run_gamma(
     try:
         fourier_at_nodes = trig_interpolate(t, observed.y, t)
         dense = resample_spectral(observed, FOURIER_DENSE)
-        keep = dense.t <= GAMMA_SPAN * (1 + 1e-12)
+        keep = dense.t <= GAMMA_SPAN
         report.add_series("fourier_dense", {"t": dense.t[keep], "p": dense.y[keep]})
         report.add_scalar("fourier_max_node_error", np.max(np.abs(fourier_at_nodes - observed.y)))
         fourier_peak = float(np.max(dense.y[keep]))
@@ -361,7 +353,7 @@ def run_gamma(
 
 def run_spectrum():
     """Amplitude spectrum of the clean, evenly sampled gamma curve."""
-    clean, _ = _gamma_samples("even", False, 0, "sorted")
+    clean, _ = _gamma_samples("even", 0.0, 0, "sorted")
     freqs, amps, phases = amplitude_spectrum(clean)
     report = ExperimentReport("spectrum")
     report.add_series("spectrum", {"frequency": freqs, "amplitude": amps, "phase": phases,
@@ -375,7 +367,7 @@ def run_spectrum():
 
 def run_deviation():
     """Pointwise deviation of the clean gamma fit at its sample nodes."""
-    clean, _ = _gamma_samples("even", False, 0, "sorted")
+    clean, _ = _gamma_samples("even", 0.0, 0, "sorted")
     p = interpolant_from_values(clean.y, GAMMA_DOMAIN)
     nodes = cheb_points_second_kind(GAMMA_SAMPLES - 1, GAMMA_DOMAIN).points
     dev = np.abs(evaluate(p, nodes) - clean.y)
@@ -436,29 +428,18 @@ def run_nodes(n=100):
 def run_condition():
     """Condition numbers of the Chebyshev and monomial bases by degree."""
     report = ExperimentReport("condition")
-    cheb_sweep = conditioning_sweep(Basis.CHEBYSHEV, UNIT, 10)
-    mono_sweep = conditioning_sweep(Basis.MONOMIAL, UNIT, 10)
+    cheb_sweep = conditioning_sweep(Basis.CHEBYSHEV, UNIT_DOMAIN, 10)
+    mono_sweep = conditioning_sweep(Basis.MONOMIAL, UNIT_DOMAIN, 10)
     report.add_series("sweep", {"degree": np.arange(11, dtype=float),
                                 "cond_chebyshev": cheb_sweep, "cond_monomial": mono_sweep})
     report.add_scalar("cond_chebyshev_deg10", cheb_sweep[-1])
     report.add_scalar("cond_monomial_deg10", mono_sweep[-1])
     mono01 = build_basis_matrix(Basis.MONOMIAL, Domain(0.0, 1.0), 10)
     report.add_scalar("cond_monomial_01_deg10", condition_number(mono01))
-    sv = singular_values(build_basis_matrix(Basis.CHEBYSHEV, UNIT, 10))
+    sv = singular_values(build_basis_matrix(Basis.CHEBYSHEV, UNIT_DOMAIN, 10))
     report.add_scalar("sigma_max_chebyshev", sv[0])
     report.add_scalar("sigma_min_chebyshev", sv[-1])
     return report
-
-
-def _at_least(minimum):
-    """An argparse ``type``: an int >= minimum, else a usage error that
-    argparse reports under the option's name."""
-    def integer(text):
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
-        return value
-    return integer
 
 
 def _scalar(quantity, reports):
@@ -556,7 +537,7 @@ ARCTAN_COEFFS = {"a1": 0.828427124746190, "a3": -0.047378541243650, "a5": 0.0048
 EXPERIMENTS = {
     "random": Experiment(
         "interpolate random data", lambda o: [run_random(o.n, o.seed)],
-        {"--n": dict(type=_at_least(2), default=10, help="point count (default 10)")},
+        {"--n": dict(type=int, default=10, help="point count (default 10)")},
         seed=True, deck=({"n": 10}, {"n": 1000}), checks=(
             Check("random: report schema", lambda r, seed: (
                 {"min", "max", "elapsed_seconds"} <= set(r["random_10"].scalars)

@@ -103,7 +103,7 @@ def uneven_grid(count: int, span: float, seed: int, mode: str = "sorted") -> np.
     draws, which also yields an increasing grid but keeps the first point
     pinned at 0.  Tied neighbours are nudged apart by 1e-12 * span.
     """
-    count = _count(count, "count", 2)
+    count, seed = _count(count, "count", 2), _count(seed, "seed", 0)
     if not 0 < span < math.inf:
         raise ValueError("span must be positive and finite")
     rng = np.random.default_rng(seed)
@@ -121,7 +121,9 @@ def uneven_grid(count: int, span: float, seed: int, mode: str = "sorted") -> np.
 
 
 def add_noise(signal: Signal, sigma: float, seed: int) -> Signal:
-    """Add absolute Gaussian noise sigma * N(0, 1) to the sample values."""
+    """Add absolute Gaussian noise sigma * N(0, 1) to the sample values; the
+    seed is checked even when sigma is 0 and the signal comes back as is."""
+    seed = _count(seed, "seed", 0)
     if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and >= 0")
     if sigma == 0:

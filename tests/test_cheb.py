@@ -597,8 +597,8 @@ class TestMinAndMax:
         assert lo == pytest.approx(math.exp(-1), rel=1e-12)
         assert hi == pytest.approx(math.e, rel=1e-12)
 
-    def test_brackets_wider_than_the_tolerance_at_their_last_float(self):
-        # Near 6000 adjacent floats are 9.1e-13 apart, wider than 1e-13 of the
+    def test_far_domain_whose_floats_lie_far_apart(self):
+        # Near 6000 adjacent floats are 9.1e-13 apart, 1.8e-13 of the
         # half-width 5; the search runs on the unit series, where they are not.
         lo, hi = min_and_max(interpolant_from_function(np.sin, Domain(6000.0, 6010.0)))
         assert lo == pytest.approx(-1.0, abs=1e-12)
@@ -613,9 +613,9 @@ class TestMinAndMax:
             assert min_and_max(interpolant_from_values(y, Domain(0.0, w))) == want, w
 
     @pytest.mark.parametrize("b", [1e308, 1.7e308])
-    def test_brackets_whose_end_sum_overflows(self, b):
-        # Near b, lo + hi of a bracket in x and 2 x in to_unit pass the
-        # float limit; the search runs on the unit series, where neither does.
+    def test_domain_ends_near_the_float_limit(self, b):
+        # Near b, 2 x in to_unit passes the float limit; the search runs on
+        # the unit series, which never maps a point back to x.
         y = np.sin(np.linspace(0.0, 40.0, 101))
         got = min_and_max(interpolant_from_values(y, Domain(0.0, b)))
         assert got == min_and_max(interpolant_from_values(y, UNIT))

@@ -17,8 +17,8 @@ class TestRandom:
 
     @pytest.mark.parametrize("seed", [1, 24, 39, 290])
     def test_large_point_count_runs(self, seed):
-        # Seeds 24, 39 and 290 put an extremum within ~1e-4 of an end,
-        # where a uniform bracketing grid misses it.
+        # Seeds 24, 39 and 290 put an extremum within ~1e-4 of an end, which a
+        # search on a uniform grid misses; min_and_max's pieces of p' crowd there.
         r = exp.run_random(1000, seed=seed)
         p = interpolant_from_values(np.random.default_rng(seed).uniform(-1, 1, 1000))
         scan = evaluate(p, np.cos(np.pi * np.arange(20001) / 20000))
@@ -27,12 +27,16 @@ class TestRandom:
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: exp.run_random(2.5), "points"),
-    (lambda: exp.run_random(1), "points"),
+    (lambda: exp.run_random(2.5), "n"),
+    (lambda: exp.run_random(1), "n"),
     (lambda: exp.run_random(10, -1), "seed"),
     (lambda: exp.run_random(10, 1.0), "seed"),
     (lambda: exp.run_nodes(2.5), "n"),
     (lambda: exp.run_nodes(1), "n"),
+    (lambda: exp.run_filter(-1), "seed"),
+    (lambda: exp.run_filter(2.5), "seed"),
+    (lambda: exp.run_gamma(seed=-1), "seed"),  # noise off: the seed is still checked
+    (lambda: exp.run_gamma(spacing="uneven", noise=True, seed=2.5), "seed"),
 ])
 def test_drivers_name_their_bad_arguments(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):

@@ -35,7 +35,8 @@ UNIT = chebsig.Domain(-1.0, 1.0)
 PAIR = chebsig.Signal([0.0, 1.0], [1.0, 2.0])
 FOUR = chebsig.Signal(np.arange(4.0), [1.0, 2.0, 3.0, 4.0])
 
-#: Every export that takes a count: (call, argument name, minimum, a valid value).
+#: Every export that takes a count or a seed: (call, argument name, minimum,
+#: a valid value).
 COUNTS = {
     "cheb_points_second_kind": (lambda n: chebsig.cheb_points_second_kind(n).points, "n", 1, 7),
     "cheb_points_first_kind": (lambda n: chebsig.cheb_points_first_kind(n).points, "count", 1, 7),
@@ -44,6 +45,8 @@ COUNTS = {
     "legendre_points": (lambda n: chebsig.legendre_points(n).points, "count", 1, 7),
     "uniform_points": (lambda n: chebsig.uniform_points(n).points, "count", 2, 7),
     "uneven_grid": (lambda n: chebsig.uneven_grid(n, 2.0, 0), "count", 2, 7),
+    "uneven_grid_seed": (lambda s: chebsig.uneven_grid(7, 2.0, s), "seed", 0, 3),
+    "add_noise_seed": (lambda s: chebsig.add_noise(FOUR, 0.1, s).y, "seed", 0, 3),
     "clenshaw_curtis_weights": (chebsig.clenshaw_curtis_weights, "n", 0, 7),
     "build_basis_matrix": (
         lambda n: chebsig.build_basis_matrix(chebsig.Basis.CHEBYSHEV, UNIT, n), "max_degree", 0, 3),
@@ -57,8 +60,8 @@ COUNTS = {
 @pytest.mark.parametrize("export", sorted(COUNTS))
 def test_count_arguments(export):
     # A non-integer (whole-number floats and NaN included), a bool or a
-    # count below the minimum raises a ValueError naming the argument; a
-    # numpy integer gives the bits of the Python int.
+    # count or seed below the minimum raises a ValueError naming the
+    # argument; a numpy integer gives the bits of the Python int.
     call, name, minimum, good = COUNTS[export]
     for bad in (2.5, float(good), math.nan, True, minimum - 1):
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= {minimum}$"):
