@@ -27,8 +27,9 @@ class TestRandom:
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: exp.run_random(2.5), "n"),
-    (lambda: exp.run_random(1), "n"),
+    # run_random's count was called points; these ids keep the cases' names.
+    pytest.param(lambda: exp.run_random(2.5), "n", id="<lambda>-points0"),
+    pytest.param(lambda: exp.run_random(1), "n", id="<lambda>-points1"),
     (lambda: exp.run_random(10, -1), "seed"),
     (lambda: exp.run_random(10, 1.0), "seed"),
     (lambda: exp.run_nodes(2.5), "n"),
