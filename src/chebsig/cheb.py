@@ -44,12 +44,12 @@ _EPS = 2.0 ** -52
 #: so a block stays in L2); a row longer than this gets a block of its own.
 _BLOCK_ELEMENTS = 2 ** 15
 
-#: Barycentric rows at least this wide are filled with numpy's ufunc
-#: buffer cut to 16 elements.  Otherwise the row-broadcast subtract and
-#: divide are copied through the 8192-element buffer, which is faster only
-#: on narrow rows: the crossover measured between widths 65 and 113
-#: (ROADMAP.md, "Measured").  Elementwise ops round alike under any buffer
-#: size, so the bits are the same either way.
+#: Barycentric rows this wide or wider, in both evaluators, are filled and
+#: summed under numpy's ufunc buffer cut to 16 elements; otherwise the
+#: row-broadcast ops are copied through the 8192-element buffer, faster
+#: only on narrow rows (crossover between widths 65 and 113, ROADMAP.md
+#: "Measured"; 301-sample trig rows: 19.6 -> 11.1 ms per 10000 queries).
+#: Elementwise ops and row sums round alike under any buffer size.
 _UNBUFFERED_WIDTH = 128
 
 
@@ -73,24 +73,29 @@ def _barycentric_rows(values: np.ndarray, count: int, fill, distance) -> np.ndar
     row gets the same bits whatever else shares the call.  The values are
     scaled once by ``_overflow_scale``, which keeps each numerator finite
     where its sum of g is.  A row whose sum of g is not finite (on a node,
-    or ulps from one) gets ``values[argmin(distance(i))]``, ``distance(i)``
-    giving rows i's distances to the nodes: on a node, its value bit for
-    bit.  Any other non-finite row raises ValueError.
+    or ulps from one) gets ``values[argmin(distance(i))]``, a block of rows
+    i at a time, ``distance(i)`` their distances to the nodes: on a node,
+    its value bit for bit.  Any other non-finite row raises ValueError.
+    One errstate scopes the call and the buffer size (numpy >= 2.0).
     """
     scale = _overflow_scale(values)
     scaled = values * scale
-    out = np.empty(count)
-    for rows, g in _row_blocks(count, values.size):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    out, den = np.empty(count), np.empty(count)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if values.size >= _UNBUFFERED_WIDTH:
+            np.setbufsize(16)
+        for rows, g in _row_blocks(count, values.size):
             fill(rows, g)
-            den = np.sum(g, axis=1)
-            block = np.vecdot(g, scaled) / den / scale
-        finite = np.isfinite(den)
-        if not finite.all():
-            snap = np.flatnonzero(~finite)
-            block[snap] = values[np.argmin(distance(rows.start + snap), axis=1)]
-        out[rows] = _finite(block, "the interpolant value overflows")
-    return out
+            np.sum(g, axis=1, out=den[rows])
+            np.vecdot(g, scaled, out=out[rows])
+        out /= den
+        out /= scale
+    snap = np.flatnonzero(~np.isfinite(den))
+    step = max(_BLOCK_ELEMENTS // values.size, 1)
+    for start in range(0, snap.size, step):
+        i = snap[start : start + step]
+        out[i] = values[np.argmin(distance(i), axis=1)]
+    return _finite(out, "the interpolant value overflows")
 
 
 class UnresolvedFunctionError(RuntimeError):
@@ -584,13 +589,8 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     at = np.flatnonzero(inside)
 
     def fill(rows, ratio):
-        # errstate scopes the buffer size (numpy >= 2.0): the caller's
-        # comes back on exit, also on a raise.
-        with np.errstate():
-            if pts.size >= _UNBUFFERED_WIDTH:
-                np.setbufsize(16)
-            np.subtract(xq[at[rows], None], pts, out=ratio)
-            np.divide(w, ratio, out=ratio)
+        np.subtract(xq[at[rows], None], pts, out=ratio)
+        np.divide(w, ratio, out=ratio)
 
     out = _barycentric_rows(v, at.size, fill, lambda i: np.abs(xq[at[i], None] - pts))
     if at.size < xq.size:

@@ -53,14 +53,16 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     """The weights of ``clenshaw_curtis_weights``, read-only: the (n+1) x
-    n/2 cosine matrix is built once per n, and run-all asks for two sizes."""
+    n/2 cosine matrix is built in place (theta 2k is exactly 2 theta k)
+    once per n, and run-all asks for two sizes."""
     if n == 0:
         w = np.array([2.0])
     else:
         theta = np.arange(n + 1) * (np.pi / n)
         ks = np.arange(1, n // 2 + 1)
         b = np.where(ks == n / 2, 1.0, 2.0)
-        correction = np.cos(2.0 * np.outer(theta, ks)) @ (b / (4.0 * ks ** 2 - 1.0))
+        m = np.outer(theta, 2.0 * ks)
+        correction = np.cos(m, out=m) @ (b / (4.0 * ks ** 2 - 1.0))
         w = (1.0 - correction) * (2.0 / n)
         w[0] *= 0.5
         w[-1] *= 0.5

@@ -103,7 +103,7 @@ def trig_interpolate(sample_x, sample_y, query_x) -> np.ndarray:
     with g = csc for odd N and cot for even N.  sin(theta - theta_k) and
     cos(theta - theta_k) come by angle addition from one sine and cosine
     per query and per node.  The sums are taken by
-    ``cheb._barycentric_rows`` (blocks, scaling and the snap rule), with
+    ``cheb._barycentric_rows`` (block, scale, buffer and snap rules), with
     |sin(theta - theta_k)| as the distance to a sample.
 
     Raises

@@ -472,27 +472,33 @@ class TestBarycentric:
             evaluate_barycentric(v, cheb_points_second_kind(4), np.linspace(-1, 1, 2001))
 
     def test_leaves_the_numpy_state_as_it_found_it(self):
-        # Wide rows are filled under a 16-element ufunc buffer; the
-        # caller's buffer size and error state must come back on return
-        # and on each ValueError.
+        # Wide rows of both evaluators are filled and summed under a
+        # 16-element ufunc buffer; the caller's buffer size and error state
+        # must come back on return and on each ValueError.
         n = cheb._UNBUFFERED_WIDTH
         nodes = cheb_points_second_kind(n)
         big = 1.7e308 * np.where(np.isin(np.arange(n + 1), (0, n)), 1.0, -1.0)
         x = np.linspace(-1.0, 1.0, 2001)
-        calls = [
-            lambda: evaluate_barycentric(np.ones(n + 1), nodes, x),
-            lambda: evaluate_barycentric(big, nodes, x),
-            lambda: evaluate_barycentric(np.ones(n + 1), nodes, [0.0, np.nan]),
-        ]
-        with np.errstate(all="raise"):
-            np.setbufsize(4096)
-            state = np.getbufsize(), np.geterr()
-            calls[0]()
-            assert (np.getbufsize(), np.geterr()) == state
-            for call, message in zip(calls[1:], ["overflows", "points must be finite"]):
-                with pytest.raises(ValueError, match=message):
-                    call()
+        t = np.arange(float(n))
+        step = 1.7e308 * np.where(np.arange(n) < n // 2, 1.0, -1.0)  # Gibbs overshoot overflows
+        xt = np.linspace(0.0, n - 1.0, 2001)
+        for calls in [
+            [lambda: evaluate_barycentric(np.ones(n + 1), nodes, x),
+             lambda: evaluate_barycentric(big, nodes, x),
+             lambda: evaluate_barycentric(np.ones(n + 1), nodes, [0.0, np.nan])],
+            [lambda: trig_interpolate(t, np.ones(n), xt),
+             lambda: trig_interpolate(t, step, xt),
+             lambda: trig_interpolate(t, np.ones(n), [0.5, np.nan])],
+        ]:
+            with np.errstate(all="raise"):
+                np.setbufsize(4096)
+                state = np.getbufsize(), np.geterr()
+                calls[0]()
                 assert (np.getbufsize(), np.geterr()) == state
+                for call, message in zip(calls[1:], ["overflows", "points must be finite"]):
+                    with pytest.raises(ValueError, match=message):
+                        call()
+                    assert (np.getbufsize(), np.geterr()) == state
 
     def test_outside_domain_is_clenshaw_extrapolation(self):
         # Just outside [-1, 1] the barycentric denominator cancels, to

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +38,43 @@ class TestWeights:
         uncached = conditioning._clenshaw_curtis_weights.__wrapped__
         assert np.array_equal(clenshaw_curtis_weights(n).view(np.uint64),
                               uncached(n).view(np.uint64))
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 1023, 2047])
+    def test_weights_are_bit_identical_to_textbook_form(self, n):
+        # The cosine is taken in place on outer(theta, 2k); theta * 2k is
+        # exactly 2 * (theta * k), so the bits are the textbook matrix's.
+        theta = np.arange(n + 1) * (np.pi / n)
+        ks = np.arange(1, n // 2 + 1)
+        b = np.where(ks == n / 2, 1.0, 2.0)
+        w = (1.0 - np.cos(2.0 * np.outer(theta, ks)) @ (b / (4.0 * ks ** 2 - 1.0))) * (2.0 / n)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        got = conditioning._clenshaw_curtis_weights.__wrapped__(n)
+        assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
+
+    def test_weights_hold_one_cosine_matrix(self):
+        # The (n+1) x n/2 matrix takes 16 MiB at n = 2047; a product and
+        # its cosine held together took 32 MiB.
+        tracemalloc.start()
+        try:
+            conditioning._clenshaw_curtis_weights.__wrapped__(2047)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
+    def test_run_all_weights_do_not_depend_on_the_blas_threads(self):
+        # dgemv splits its rows by thread, and the bits of some sizes move
+        # with the split (n = 963, 1025, 3001); run-all's two sizes do not.
+        code = ("import hashlib, sys; from chebsig.conditioning import clenshaw_curtis_weights as w; "
+                "sys.stdout.write(hashlib.sha256(w(1023).tobytes() + w(2047).tobytes()).hexdigest())")
+        src = str(Path(conditioning.__file__).parents[1])
+        digests = [
+            subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "4")
+        ]
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     def test_callers_get_their_own_copy_from_a_bounded_cache(self):
         first = clenshaw_curtis_weights(8)

@@ -489,8 +489,8 @@ _SUBNORMALS = np.array([5e-324, -5e-324, 2.2250738585e-313, -1e-310])
        st.booleans(),
        st.sampled_from(["on", "next", "inside", "outside", "subnormal", "mix"]),
        st.booleans())
-# Rows of cheb._UNBUFFERED_WIDTH nodes or more are filled under a 16-element
-# ufunc buffer: rows on both sides of that width, and wide ones.
+# Rows of cheb._UNBUFFERED_WIDTH nodes or more are filled and summed under a
+# 16-element ufunc buffer: rows on both sides of that width, and wide ones.
 @example(cheb._UNBUFFERED_WIDTH - 2, 1, True, "mix", False)
 @example(cheb._UNBUFFERED_WIDTH - 1, 2, True, "mix", False)
 @example(cheb._UNBUFFERED_WIDTH - 2, 3, False, "mix", False)
@@ -578,18 +578,23 @@ def test_barycentric_query_bits_do_not_depend_on_the_batch(n, seed, blocks):
 
 
 def test_barycentric_memory_is_bounded_by_the_block():
-    # One queries x nodes matrix of this size would take 306 MiB.
+    # One queries x nodes matrix of this size would take 306 MiB.  The
+    # second batch sits on nodes, so every row snaps: the nearest-node
+    # lookup must also run a block of rows at a time.
     rng = np.random.default_rng(20000)
     nodes = cheb_points_second_kind(2000)
     v = rng.standard_normal(2001)
     x = rng.uniform(-1.0, 1.0, 20000)
-    tracemalloc.start()
-    try:
-        evaluate_barycentric(v, nodes, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    pick = rng.integers(0, 2001, 20000)
+    for queries in (x, nodes.points[pick]):
+        tracemalloc.start()
+        try:
+            got = evaluate_barycentric(v, nodes, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+    assert np.array_equal(_bits(got), _bits(v[pick]))
 
 
 @settings(deadline=None, max_examples=40)
@@ -653,6 +658,10 @@ def _textbook_trig(sample_x, sample_y, x):
        st.sampled_from(["on", "next", "inside", "images", "mix"]),
        st.booleans(),
        st.booleans())
+# The same buffer rule holds for trig rows: n = 2 half + parity is 126 to 129
+# here, on both sides of cheb._UNBUFFERED_WIDTH.
+@example(cheb._UNBUFFERED_WIDTH // 2 - 1, 0, "mix", False, False)
+@example(cheb._UNBUFFERED_WIDTH // 2, 1, "mix", True, False)
 def test_trig_is_bit_identical_to_textbook_form(parity, half, seed, where, huge, scalar):
     n = 2 * half + parity
     rng = np.random.default_rng(seed)
@@ -678,18 +687,22 @@ def test_trig_is_bit_identical_to_textbook_form(parity, half, seed, where, huge,
 
 
 def test_trig_memory_is_bounded_by_the_block():
-    # One queries x samples matrix of this size would take 305 MiB.
+    # One queries x samples matrix of this size would take 305 MiB.  The
+    # second batch sits on samples, so every row snaps.
     rng = np.random.default_rng(20000)
     t = np.arange(2000.0)
     y = rng.standard_normal(2000)
     x = rng.uniform(-2000.0, 4000.0, 20000)
-    tracemalloc.start()
-    try:
-        trig_interpolate(t, y, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    pick = rng.integers(0, 2000, 20000)
+    for queries in (x, t[pick]):
+        tracemalloc.start()
+        try:
+            got = trig_interpolate(t, y, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+    assert np.array_equal(_bits(got), _bits(y[pick]))
 
 
 def _textbook_mean_distance(points):
