@@ -259,12 +259,15 @@ def cheb_points_second_kind(n: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     return NodeSet(_map_unit_points(unit, domain, ends=True), domain)
 
 
+@functools.lru_cache(maxsize=8)
 def _second_kind_unit_points(n: int) -> np.ndarray:
-    """The n + 1 second-kind points on [-1, 1], ascending, as an array."""
+    """The n + 1 second-kind points on [-1, 1], ascending; read-only, cached for 8 n."""
     # Ascending order is x_j = sin((2j - n) pi / (2n)); take the j with a
     # positive argument and mirror.
     j = np.arange(n // 2 + 1, n + 1)
-    return _mirrored_half_points(n + 1, (2 * j - n) * (np.pi / (2 * n)))
+    unit = _mirrored_half_points(n + 1, (2 * j - n) * (np.pi / (2 * n)))
+    unit.flags.writeable = False
+    return unit
 
 
 def cheb_points_first_kind(count: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
@@ -466,7 +469,7 @@ def interpolant_from_function(
         nodes = cheb_points_second_kind(_count(n, "n", 1), domain)
         return interpolant_from_values(_sample(f, nodes.points), domain)
 
-    unit = _finest_unit_grid()
+    unit = _second_kind_unit_points(2 ** 16)
     vals = None
     for k in range(3, 17):
         pts = _map_unit_points(unit[:: 2 ** (16 - k)], domain, ends=True)
@@ -483,15 +486,6 @@ def interpolant_from_function(
             return ChebInterpolant(coeffs[:cut], domain)
     raise UnresolvedFunctionError("function not resolved on the 65537-point grid",
                                   ChebInterpolant(coeffs, domain))
-
-
-@functools.cache
-def _finest_unit_grid() -> np.ndarray:
-    """The read-only 2^16 + 1 second-kind points on [-1, 1]; the 2^k + 1
-    grid is every 2^(16 - k)-th of them, bit for bit."""
-    unit = _second_kind_unit_points(2 ** 16)
-    unit.flags.writeable = False
-    return unit
 
 
 def _sample(f: Callable, points: np.ndarray) -> np.ndarray:
@@ -572,7 +566,8 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     pts, dom = nodes.points, nodes.domain
     if pts.size < 2:
         raise ValueError("barycentric evaluation needs at least 2 nodes (degree n >= 1)")
-    if not np.array_equal(pts, cheb_points_second_kind(pts.size - 1, dom).points):
+    unit = _second_kind_unit_points(pts.size - 1)
+    if not np.array_equal(pts, _map_unit_points(unit, dom, ends=True)):
         raise ValueError("nodes must be cheb_points_second_kind(len(nodes) - 1, nodes.domain)")
     if v.shape != pts.shape:
         raise ValueError(f"got {v.size} values for {pts.size} nodes")
@@ -670,7 +665,7 @@ def min_and_max(p: ChebInterpolant) -> tuple[float, float]:
         centre, half = 0.5 * (t[1:] + t[:-1]), 0.5 * (t[1:] - t[:-1])
         s = centre[:, None] + half[:, None] * _second_kind_unit_points(_PROXY_DEGREE)
         a = _values_to_coeffs(evaluate(dp, s))
-    else:
+    else:  # a 33-point proxy of a p' of degree 31 or 32 can miss an extremum by 5%
         centre, half, a = np.zeros(1), np.ones(1), dp.coeffs[None]
     lam = _colleague_roots(a)
     piece, j = np.nonzero((np.abs(lam.imag) <= _ROOT_SLACK)

@@ -111,6 +111,15 @@ class TestNodeGeneration:
         dom = Domain(1.0, 1.0 + 2 ** -52)
         assert np.array_equal(cheb_points_second_kind(1, dom).points, [dom.a, dom.b])
 
+    def test_second_kind_unit_points_come_from_one_bounded_cache(self):
+        # Every second-kind point set is read from one cache of the last 8
+        # sizes; its arrays are read-only, and a NodeSet holds its own copy.
+        for n in range(1, 101):
+            assert not cheb._second_kind_unit_points(n).flags.writeable
+        assert cheb._second_kind_unit_points.cache_info().currsize <= 8
+        pts = cheb_points_second_kind(8, Domain(-1.0, 1.0)).points
+        assert not np.shares_memory(pts, cheb._second_kind_unit_points(8))
+
     def test_first_kind_small_counts(self):
         assert cheb_points_first_kind(1).points[0] == 0.0
         pts = cheb_points_first_kind(2).points
@@ -420,6 +429,22 @@ class TestBarycentric:
         with pytest.raises(ValueError, match="at least 2 nodes"):
             evaluate_barycentric([1.0], NodeSet([0.0], UNIT), 0.0)
 
+    def test_checks_its_nodes_without_building_a_node_set(self, monkeypatch):
+        # The nodes are compared with the cached unit points mapped onto the
+        # domain; no NodeSet is built per call.
+        cases = [(cheb_points_second_kind(n, dom), dom)
+                 for n, dom in ((1, UNIT), (100, UNIT), (1000, Domain(0.0, 3.0)))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_barycentric built a node set")
+
+        monkeypatch.setattr(cheb, "cheb_points_second_kind", refuse)
+        monkeypatch.setattr(cheb, "NodeSet", refuse)
+        for nodes, dom in cases:
+            x = np.array([dom.a, dom.from_unit(0.3), nodes.points[1], dom.b])
+            got = evaluate_barycentric(3.0 * nodes.points - 1.0, nodes, x)
+            assert np.allclose(got, 3.0 * x - 1.0, rtol=1e-13, atol=1e-13)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_points(self, bad):
         nodes = cheb_points_second_kind(4)
@@ -596,6 +621,16 @@ class TestMinAndMax:
         # A proxy whose leading coefficients are 0 is cut to its degree:
         # no division by 0, and so no RuntimeWarning.
         assert min_and_max(ChebInterpolant(coeffs, UNIT)) == want
+
+    def test_degree_31_derivative_is_its_own_proxy(self):
+        # p' of degree 31 keeps the exact-series branch: a 33-point proxy of
+        # it leaves a rounding-level top coefficient above _colleague_roots'
+        # cut, and the minimum found then missed by 5% of max|p|.
+        p = ChebInterpolant(np.random.default_rng(1632).standard_normal(33), UNIT)
+        lo, hi = min_and_max(p)
+        scan = evaluate(p, np.cos(np.pi * np.arange(200001) / 200000))
+        tol = 1e-13 * np.abs(scan).max()
+        assert lo <= scan.min() + tol and hi >= scan.max() - tol
 
     def test_endpoint_extrema(self):
         p = interpolant_from_function(np.exp, Domain(-1.0, 1.0), n=20)

@@ -69,7 +69,9 @@ def test_io_error_exit_code(tmp_path):
 
 def test_svg_written(tmp_path):
     assert main(["deviation", "--out", str(tmp_path), "--svg"]) == 0
-    assert (tmp_path / "deviation" / "deviation.svg").exists()
+    svg = tmp_path / "deviation" / "deviation.svg"
+    assert svg.exists()
+    assert svg.read_text().startswith("<svg")
 
 
 def test_coeffs_all_runs_three(tmp_path):
@@ -114,18 +116,17 @@ def _report_json_digest(path):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def test_run_all_matches_golden_digests(run_all_twice):
+def test_run_all_matches_golden_digests(run_all_twice, monkeypatch):
     out1, _, codes, _ = run_all_twice
     assert codes[0] == 0
-    golden = Path(__file__).parents[1] / "perfbench" / "golden_csv_sha256.json"
-    expected = json.loads(golden.read_text(encoding="utf-8"))["42"]
-    digests = {p.relative_to(out1).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in out1.rglob("*.csv")}
-    assert digests == expected
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import golden
+
+    assert golden.csv_digests(out1) == golden.load()[42]
     # The scalars the --check assertions read live in report.json, not in CSV.
     # Digests for the other golden seeds are checked in CI.
-    golden = Path(__file__).parent / "golden_report_sha256.json"
-    expected = json.loads(golden.read_text(encoding="utf-8"))["42"]
+    reports = Path(__file__).parent / "golden_report_sha256.json"
+    expected = json.loads(reports.read_text(encoding="utf-8"))["42"]
     digests = {p.relative_to(out1).as_posix(): _report_json_digest(p)
                for p in out1.rglob("report.json")}
     assert digests == expected

@@ -205,9 +205,3 @@ class TestReportWriter:
             r.add_scalar("bad", np.nan)
         with pytest.raises(ValueError):
             r.add_series("bad", {"x": [np.inf]})
-
-    def test_svg_emitted(self, tmp_path):
-        write_report(exp.run_scale(), tmp_path, svg=True)
-        svgs = list((tmp_path / "scale").glob("*.svg"))
-        assert svgs
-        assert svgs[0].read_text().startswith("<svg")
