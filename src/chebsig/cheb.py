@@ -259,9 +259,14 @@ def cheb_points_second_kind(n: int, domain: Domain = UNIT_DOMAIN) -> NodeSet:
     return NodeSet(_map_unit_points(unit, domain, ends=True), domain)
 
 
-@functools.lru_cache(maxsize=8)
 def _second_kind_unit_points(n: int) -> np.ndarray:
-    """The n + 1 second-kind points on [-1, 1], ascending; read-only, cached for 8 n."""
+    """The n + 1 second-kind points on [-1, 1], ascending and read-only; cached
+    for n <= 2^16, the largest the library asks for, so no larger n is held."""
+    return _cached_unit_points(n) if n <= 2 ** 16 else _cached_unit_points.__wrapped__(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_unit_points(n: int) -> np.ndarray:
     # Ascending order is x_j = sin((2j - n) pi / (2n)); take the j with a
     # positive argument and mirror.
     j = np.arange(n // 2 + 1, n + 1)
@@ -363,7 +368,7 @@ def interpolant_from_values(values, domain: Domain = UNIT_DOMAIN) -> ChebInterpo
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
-        raise ValueError("need at least 2 values (degree n >= 1)")
+        raise ValueError(f"values must be 1-D with at least 2 entries, got shape {v.shape}")
     return ChebInterpolant(_values_to_coeffs(_finite(v, "values must be finite")), domain)
 
 
@@ -570,7 +575,7 @@ def evaluate_barycentric(values, nodes: NodeSet, x):
     if not np.array_equal(pts, _map_unit_points(unit, dom, ends=True)):
         raise ValueError("nodes must be cheb_points_second_kind(len(nodes) - 1, nodes.domain)")
     if v.shape != pts.shape:
-        raise ValueError(f"got {v.size} values for {pts.size} nodes")
+        raise ValueError(f"values must be 1-D, one per node ({pts.size}), got shape {v.shape}")
     _finite(v, "values must be finite")
     xq = _finite(x, "points must be finite")
     shape = xq.shape

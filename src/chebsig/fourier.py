@@ -69,17 +69,12 @@ def resample_spectral(signal: Signal, new_count: int) -> Signal:
     scale = _overflow_scale(signal.y)
     spec = np.fft.fft(signal.y * scale)
     padded = np.zeros(new_count, dtype=complex)
-    if n % 2:
-        h = (n + 1) // 2
-        padded[:h] = spec[:h]
-        padded[new_count - (n - h):] = spec[h:]
-    else:
-        h = n // 2
-        padded[:h] = spec[:h]
+    h, m = (n + 1) // 2, (n - 1) // 2  # positive and negative bins, Nyquist aside
+    padded[:h] = spec[:h]
+    padded[new_count - m:] = spec[n - m:]
+    if n % 2 == 0:
         padded[h] = 0.5 * spec[h]
-        # += so the two halves recombine when new_count == n.
-        padded[new_count - h] += 0.5 * spec[h]
-        padded[new_count - h + 1:] = spec[h + 1:]
+        padded[new_count - h] += 0.5 * spec[h]  # += rejoins the halves if new_count == n
     out = np.fft.ifft(padded) * (new_count / n)
     residue = np.max(np.abs(out.imag))
     # 1e-10 max(1, max|out|) in the units of the unscaled samples.

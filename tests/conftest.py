@@ -1,5 +1,8 @@
 import contextlib
 import io
+import time
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,14 +28,20 @@ def inverse_cosine_transform():
     return _inverse_cosine_transform
 
 
+class RunAllPass(NamedTuple):
+    out: Path
+    code: int
+    stdout: str
+    seconds: float
+
+
 @pytest.fixture(scope="session")
-def run_all_twice(tmp_path_factory):
-    """Two ``run-all --seed 42`` passes into fresh directories, the second
-    with ``--check``: (first dir, second dir, exit codes, --check stdout)."""
-    root = tmp_path_factory.mktemp("run_all")
-    out1, out2 = root / "a", root / "b"
-    codes = [main(["run-all", "--seed", "42", "--out", str(out1)])]
+def run_all_pass(tmp_path_factory):
+    """The suite's one ``run-all --seed 42 --check`` pass: output directory,
+    exit code, --check stdout and wall time; the golden digests pin its bits."""
+    out = tmp_path_factory.mktemp("run_all")
     stdout = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(stdout):
-        codes.append(main(["run-all", "--seed", "42", "--out", str(out2), "--check"]))
-    return out1, out2, codes, stdout.getvalue()
+        code = main(["run-all", "--seed", "42", "--out", str(out), "--check"])
+    return RunAllPass(out, code, stdout.getvalue(), time.perf_counter() - start)

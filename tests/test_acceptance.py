@@ -41,8 +41,9 @@ def test_c4_basis_conditioning():
     assert _seconds(work) < 5.0
 
 
-def test_c5_convergence_thresholds():
-    assert _seconds(exp.run_converge) < 30.0
+def test_c5_convergence_thresholds(run_all_pass):
+    # converge runs inside the suite's one run-all pass, so this bounds it too.
+    assert run_all_pass.seconds < 30.0
 
 
 def test_c6_gamma_even_reconstruction():

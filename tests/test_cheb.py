@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,13 +113,22 @@ class TestNodeGeneration:
         assert np.array_equal(cheb_points_second_kind(1, dom).points, [dom.a, dom.b])
 
     def test_second_kind_unit_points_come_from_one_bounded_cache(self):
-        # Every second-kind point set is read from one cache of the last 8
-        # sizes; its arrays are read-only, and a NodeSet holds its own copy.
-        for n in range(1, 101):
+        # One cache of the last 8 sizes up to 2^16 gives read-only arrays; a
+        # NodeSet holds its own copy, and no larger size is held once dropped.
+        for n in [*range(1, 101), 2 ** 16 + 1]:
             assert not cheb._second_kind_unit_points(n).flags.writeable
-        assert cheb._second_kind_unit_points.cache_info().currsize <= 8
+        assert cheb._cached_unit_points.cache_info().currsize <= 8
         pts = cheb_points_second_kind(8, Domain(-1.0, 1.0)).points
         assert not np.shares_memory(pts, cheb._second_kind_unit_points(8))
+        cheb._cached_unit_points.cache_clear()
+        tracemalloc.start()
+        try:
+            cheb_points_second_kind(2 ** 20)
+            evaluate_barycentric(np.ones(2 ** 20 + 2), cheb_points_second_kind(2 ** 20 + 1), 0.3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 2 ** 20, held  # either call's points alone are 8 MiB
 
     def test_first_kind_small_counts(self):
         assert cheb_points_first_kind(1).points[0] == 0.0
@@ -220,8 +230,9 @@ class TestInterpolantFromValues:
         assert np.max(np.abs(p.coeffs - [0.0, 0.0, 0.0, 0.0, 1e308])) <= 1e-15 * 1e308
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            interpolant_from_values([1.0])
+        for values, shape in (([1.0], r"\(1,\)"), (np.ones((5, 1)), r"\(5, 1\)")):
+            with pytest.raises(ValueError, match=f"1-D with at least 2 .*got shape {shape}$"):
+                interpolant_from_values(values)
         with pytest.raises(ValueError):
             interpolant_from_values([1.0, np.nan, 0.0])
 
@@ -409,8 +420,9 @@ class TestBarycentric:
 
     def test_rejects_mismatched_lengths(self):
         nodes = cheb_points_second_kind(4)
-        with pytest.raises(ValueError):
-            evaluate_barycentric([1.0, 2.0], nodes, 0.0)
+        for values, shape in (([1.0, 2.0], r"\(2,\)"), (np.ones((1, 5)), r"\(1, 5\)")):
+            with pytest.raises(ValueError, match=rf"1-D, one per node \(5\), got shape {shape}$"):
+                evaluate_barycentric(values, nodes, 0.3)
 
     def test_rejects_wrong_kind(self):
         # The weights hold only on cheb_points_second_kind(n, domain), bit
