@@ -64,9 +64,10 @@ def main(argv=None) -> int:
         print(f"[{r.name}] {scalars}" if scalars else f"[{r.name}] done")
 
     if args.check:
-        # run-all has just produced every deck; a single command runs its own.
+        # run-all has just produced every deck; a single command reuses its own run.
         names = list(exp.EXPERIMENTS) if run_all else [args.command]
-        deck = reports if run_all else exp.EXPERIMENTS[args.command].run_deck(seed)
+        deck = (reports if run_all else
+                exp.EXPERIMENTS[args.command].run_deck(seed, done=(vars(args), reports)))
         by_name = {r.name: r for r in deck}
         results = [c.evaluate(by_name, seed) for n in names for c in exp.EXPERIMENTS[n].checks]
         for label, ok, detail in results:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -124,48 +125,70 @@ def _cc_norm(weights, values):
     return math.sqrt(float(np.sum(weights * values ** 2)))
 
 
+_CONVERGE_FUNCS = {"exp": np.exp, "runge": lambda x: 1.0 / (1.0 + 25.0 * x ** 2)}
+
+
+def _converge_errors(degrees, weights):
+    """Norms of each function, indexed (L2 on the grid of ``weights``, sup on
+    10^4+1 uniform points) x function, and the same errors of its degree-n
+    interpolants, with a last index over n in ``degrees``."""
+    xg = cheb_points_second_kind(weights.size - 1).points
+    xu = np.linspace(-1.0, 1.0, 10001)
+    xgu = np.concatenate([xg, xu])  # one Clenshaw pass per interpolant
+    refs = [(f(xg), f(xu)) for f in _CONVERGE_FUNCS.values()]
+    norms = np.array([[_cc_norm(weights, g), np.max(np.abs(u))] for g, u in refs]).T
+    errs = np.empty((2, len(refs), len(degrees)))
+    for i, n in enumerate(degrees):
+        for j, (f, (ref_g, ref_u)) in enumerate(zip(_CONVERGE_FUNCS.values(), refs)):
+            v = evaluate(interpolant_from_function(f, n=int(n)), xgu)
+            errs[:, j, i] = (_cc_norm(weights, ref_g - v[: xg.size]),
+                             np.max(np.abs(ref_u - v[xg.size :])))
+    return norms, errs
+
+
+def _second_cpu():
+    """Whether run_converge forks: two or more CPUs to run on, and not daemonic."""
+    import multiprocessing
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return len(cpus) >= 2 and not multiprocessing.current_process().daemon
+
+
 def run_converge():
     """Interpolation error of e^x and the Runge function versus degree.
 
     Records quadrature-weighted L2 errors (2048-point grid) and sup errors
     (10^4+1 uniform points) for degrees 1..300, and the first degree at
-    which both L2 errors drop below 2^-52 times the function norm.
+    which both L2 errors drop below 2^-52 times the function norm.  A forked
+    child takes the odd degrees where ``_second_cpu`` allows; same bits.
     """
-    grid_n = 2047
-    xg = cheb_points_second_kind(grid_n).points
-    wg = clenshaw_curtis_weights(grid_n)
-    xu = np.linspace(-1.0, 1.0, 10001)
-    xgu = np.concatenate([xg, xu])  # one Clenshaw pass per interpolant
-
-    funcs = {"exp": np.exp, "runge": lambda x: 1.0 / (1.0 + 25.0 * x ** 2)}
-    ref_g = {k: f(xg) for k, f in funcs.items()}
-    ref_u = {k: f(xu) for k, f in funcs.items()}
-    norms = {"l2": {k: _cc_norm(wg, v) for k, v in ref_g.items()},
-             "sup": {k: float(np.max(np.abs(v))) for k, v in ref_u.items()}}
-
+    wg = clenshaw_curtis_weights(2047)
     ns = np.arange(1, CONVERGE_N_MAX + 1)
-    errs = {kind: {k: np.empty(CONVERGE_N_MAX) for k in funcs} for kind in norms}
-    threshold = dict.fromkeys(norms)
-    for i, n in enumerate(ns):
-        for key, f in funcs.items():
-            p = interpolant_from_function(f, n=int(n))
-            v = evaluate(p, xgu)
-            errs["l2"][key][i] = _cc_norm(wg, ref_g[key] - v[: xg.size])
-            errs["sup"][key][i] = np.max(np.abs(ref_u[key] - v[xg.size :]))
-        for kind, found in threshold.items():
-            if found is None and all(errs[kind][k][i] < _EPS * norms[kind][k] for k in funcs):
-                threshold[kind] = int(n)
+    if not _second_cpu():
+        norms, errs = _converge_errors(ns, wg)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Odd and even degrees hand each side nearly the same Clenshaw work.
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            odd = pool.submit(_converge_errors, ns[0::2], wg)
+            norms, even = _converge_errors(ns[1::2], wg)
+            errs = np.empty(norms.shape + ns.shape)
+            errs[..., 0::2], errs[..., 1::2] = odd.result()[1], even
+    both_below = np.all(errs < _EPS * norms[..., None], axis=1)  # kind x n
 
     report = ExperimentReport("converge")
-    columns = {f"err_{kind}_{k}": e for kind, by_f in errs.items() for k, e in by_f.items()}
+    columns = {f"err_{kind}_{k}": e
+               for kind, by_f in zip(("l2", "sup"), errs) for k, e in zip(_CONVERGE_FUNCS, by_f)}
     report.add_series("errors", {"n": ns.astype(float), **columns})
-    for kind, found in threshold.items():
-        if found is not None:
-            report.add_scalar(f"threshold_{kind}", found)
+    for kind, below in zip(("l2", "sup"), both_below):
+        if below.any():
+            report.add_scalar(f"threshold_{kind}", ns[below.argmax()])
         else:
             report.metadata[f"threshold_{kind}"] = f"not reached within n_max={CONVERGE_N_MAX}"
-    report.add_scalar("exp_err_l2_at_20", errs["l2"]["exp"][19])
-    e = errs["l2"]["runge"]
+    report.add_scalar("exp_err_l2_at_20", columns["err_l2_exp"][19])
+    e = columns["err_l2_runge"]
     ratios = e[59:120] / e[57:118]  # e(n)/e(n-2) for n = 60..120
     report.add_scalar("runge_ratio_mean", np.mean(ratios))
     report.add_scalar("runge_ratio_worst", np.max(np.abs(ratios - np.mean(ratios))))
@@ -484,11 +507,16 @@ class Experiment:
     deck: tuple = ({},)
     checks: tuple = ()
 
-    def run_deck(self, seed=0) -> list:
+    def run_deck(self, seed=0, done=None) -> list:
+        """Every deck entry's reports; ``done``, one call's (parsed options,
+        reports), stands in for the entry whose options equal its own."""
         defaults = {flag.lstrip("-").replace("-", "_"): kw.get("default")
                     for flag, kw in self.options.items()}
-        return [r for over in self.deck for r in self.run(SimpleNamespace(
-            **{**defaults, **over}, seed=seed))]
+        reports = []
+        for options in ({**defaults, **over} for over in self.deck):
+            reuse = done and all(done[0].get(k) == v for k, v in options.items())
+            reports += done[1] if reuse else self.run(SimpleNamespace(**options, seed=seed))
+        return reports
 
 
 def _gap(quantity, ref):

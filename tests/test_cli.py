@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,8 +60,37 @@ def test_gamma_check_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_scale_check_passes():
+def test_scale_check_passes(monkeypatch):
+    calls = []
+    run_scale = exp.run_scale
+    monkeypatch.setattr(exp, "run_scale", lambda: calls.append(1) or run_scale())
     assert main(["scale", "--check"]) == 0
+    assert len(calls) == 1  # the checks read the command's own report
+
+
+@pytest.mark.parametrize("argv, ns", [
+    (["random", "--check"], [10, 1000]),
+    (["random", "--seed", "3", "--check"], [10, 1000]),
+    (["random", "--n", "7", "--check"], [7, 10, 1000]),
+])
+def test_check_runs_only_the_deck_entries_the_command_did_not(monkeypatch, argv, ns):
+    calls = []
+    run_random = exp.run_random
+    monkeypatch.setattr(exp, "run_random", lambda n, seed: calls.append(n) or run_random(n, seed))
+    assert main(argv) == 0
+    assert calls == ns
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # concurrent.futures.process alone costs about 12 ms of start-up;
+    # run_converge imports it when it forks.
+    code = ("import sys, chebsig.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = str(Path(exp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_io_error_exit_code(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -45,6 +48,46 @@ class TestWavelen:
         lr = np.genfromtxt(lengths, delimiter=",", names=True)["length_runge"]
         ratios = lr[5:] / lr[4:-1]
         assert np.all((ratios >= 1.8) & (ratios <= 2.2))
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="no fork start method on this platform")
+
+
+class TestConvergeSplit:
+    """run_converge's odd degrees in a forked child, whatever the CPU count."""
+
+    @needs_fork
+    def test_forked_child_gives_the_same_bits(self, monkeypatch):
+        # 120 is the least n_max that holds the Runge ratios of n = 60..120.
+        monkeypatch.setattr(exp, "CONVERGE_N_MAX", 120)
+        threads = threading.active_count()
+        runs = []
+        for child in (True, False):
+            monkeypatch.setattr(exp, "_second_cpu", lambda child=child: child)
+            r = exp.run_converge()
+            runs.append(({k: v.hex() for k, v in r.scalars.items()}, r.metadata,
+                         {k: c.tobytes() for k, c in r.get_series("errors").columns.items()}))
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    @needs_fork
+    def test_an_error_in_the_child_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(exp, "CONVERGE_N_MAX", 10)
+        monkeypatch.setattr(exp, "_second_cpu", lambda: True)
+        evaluate = exp.evaluate
+
+        def refuse_degree_7(p, x):
+            if p.coeffs.size == 8:
+                raise ValueError(f"degree 7 refused in process {os.getpid()}")
+            return evaluate(p, x)
+
+        monkeypatch.setattr(exp, "evaluate", refuse_degree_7)
+        with pytest.raises(ValueError, match="^degree 7 refused in process ") as info:
+            exp.run_converge()
+        assert not str(info.value).endswith(f" {os.getpid()}")  # the child raised it
+        assert multiprocessing.active_children() == []
 
 
 class TestCoeffs:
