@@ -43,15 +43,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _written(reports, args):
+    if args.out is not None:
+        for r in reports:
+            write_report(r, args.out, svg=args.svg)
+    return reports
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     seed = getattr(args, "seed", 0)
     run_all = args.command == "run-all"
     try:
-        reports = exp.run_all(seed) if run_all else exp.EXPERIMENTS[args.command].run(args)
-        if args.out is not None:
-            for r in reports:
-                write_report(r, args.out, svg=args.svg)
+        # run-all writes each experiment's reports as they finish, while
+        # converge's forked child is still at work.
+        reports = (exp._run_all(seed, lambda rs: _written(rs, args)) if run_all
+                   else _written(exp.EXPERIMENTS[args.command].run(args), args))
     except OSError as e:
         print(f"chebsig: I/O error: {e}", file=sys.stderr)
         return IO_ERROR

@@ -10,6 +10,7 @@ its run-all deck and its golden checks.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -131,51 +132,110 @@ _CONVERGE_FUNCS = {"exp": np.exp, "runge": lambda x: 1.0 / (1.0 + 25.0 * x ** 2)
 def _converge_errors(degrees, weights):
     """Norms of each function, indexed (L2 on the grid of ``weights``, sup on
     10^4+1 uniform points) x function, and the same errors of its degree-n
-    interpolants, with a last index over n in ``degrees``."""
+    interpolants, with a last index over n - 1: NaN but for the n that
+    ``degrees`` yields."""
     xg = cheb_points_second_kind(weights.size - 1).points
     xu = np.linspace(-1.0, 1.0, 10001)
     xgu = np.concatenate([xg, xu])  # one Clenshaw pass per interpolant
     refs = [(f(xg), f(xu)) for f in _CONVERGE_FUNCS.values()]
     norms = np.array([[_cc_norm(weights, g), np.max(np.abs(u))] for g, u in refs]).T
-    errs = np.empty((2, len(refs), len(degrees)))
-    for i, n in enumerate(degrees):
+    errs = np.full((2, len(refs), CONVERGE_N_MAX), np.nan)
+    for n in degrees:
         for j, (f, (ref_g, ref_u)) in enumerate(zip(_CONVERGE_FUNCS.values(), refs)):
             v = evaluate(interpolant_from_function(f, n=int(n)), xgu)
-            errs[:, j, i] = (_cc_norm(weights, ref_g - v[: xg.size]),
-                             np.max(np.abs(ref_u - v[xg.size :])))
+            errs[:, j, n - 1] = (_cc_norm(weights, ref_g - v[: xg.size]),
+                                 np.max(np.abs(ref_u - v[xg.size :])))
     return norms, errs
 
 
 def _second_cpu():
-    """Whether run_converge forks: two or more CPUs to run on, and not daemonic."""
+    """Whether converge forks a child: two or more CPUs to run on, and not daemonic."""
     import multiprocessing
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     return len(cpus) >= 2 and not multiprocessing.current_process().daemon
 
 
-def run_converge():
+def _countdown(left):
+    """Degrees taken from the shared counter ``left``, largest first, until
+    none is left."""
+    while True:
+        with left.get_lock():
+            n = left.value
+            left.value = n - 1
+        if n < 1:
+            return
+        yield n
+
+
+def _converge_child(left, weights, send):
+    """The forked child's share of converge: it sends its errors or its
+    exception, and on an exception empties the counter first, so that the
+    parent takes no further degree.  The errors fit in the pipe's buffer, so
+    the child never waits for the parent to read them."""
+    try:
+        errs = _converge_errors(_countdown(left), weights)[1]
+    except Exception as exc:
+        left.value = 0
+        errs = exc
+    send.send(errs)
+
+
+@contextlib.contextmanager
+def _converge_started():
+    """Start converge's degrees.  Where ``_second_cpu`` holds, a forked child
+    starts taking them from a counter it shares with this process; else the
+    counter is local.  Yields the function that takes this process's share
+    and returns (norms, errors by degree).  On leaving, the counter is
+    emptied, so that after an error neither side takes another degree, and
+    the child is joined."""
+    wg = clenshaw_curtis_weights(2047)
+    left, child = SimpleNamespace(value=CONVERGE_N_MAX, get_lock=contextlib.nullcontext), None
+    if _second_cpu():
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        left = ctx.Value("l", CONVERGE_N_MAX)
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_converge_child, args=(left, wg, send))
+        child.start()
+        send.close()
+
+    def finish():
+        norms, errs = _converge_errors(_countdown(left), wg)
+        if child is None:
+            return norms, errs
+        try:
+            theirs = recv.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"converge's child exited with code {child.exitcode}") from None
+        if isinstance(theirs, Exception):
+            raise theirs
+        return norms, np.where(np.isnan(errs), theirs, errs)
+
+    try:
+        yield finish
+    finally:
+        left.value = 0
+        if child is not None:
+            child.join()
+            recv.close()
+
+
+def run_converge(*, _started=None):
     """Interpolation error of e^x and the Runge function versus degree.
 
     Records quadrature-weighted L2 errors (2048-point grid) and sup errors
     (10^4+1 uniform points) for degrees 1..300, and the first degree at
-    which both L2 errors drop below 2^-52 times the function norm.  A forked
-    child takes the odd degrees where ``_second_cpu`` allows; same bits.
+    which both L2 errors drop below 2^-52 times the function norm.  Where
+    ``_second_cpu`` allows, a forked child takes degrees too; same bits.
+    ``_started`` is run-all's: the degrees it started before its other
+    experiments.
     """
-    wg = clenshaw_curtis_weights(2047)
+    with (contextlib.nullcontext(_started) if _started else _converge_started()) as finish:
+        norms, errs = finish()
     ns = np.arange(1, CONVERGE_N_MAX + 1)
-    if not _second_cpu():
-        norms, errs = _converge_errors(ns, wg)
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Odd and even degrees hand each side nearly the same Clenshaw work.
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            odd = pool.submit(_converge_errors, ns[0::2], wg)
-            norms, even = _converge_errors(ns[1::2], wg)
-            errs = np.empty(norms.shape + ns.shape)
-            errs[..., 0::2], errs[..., 1::2] = odd.result()[1], even
     both_below = np.all(errs < _EPS * norms[..., None], axis=1)  # kind x n
 
     report = ExperimentReport("converge")
@@ -690,6 +750,20 @@ EXPERIMENTS = {
 }
 
 
+def _run_all(seed, done):
+    """run_all, handing each experiment's reports to ``done`` as they finish
+    and keeping what it returns.  converge's child is forked before anything
+    else runs and converge is finished last, so the child works through the
+    rest of the pass."""
+    reports = {}
+    with _converge_started() as finish:
+        for name, e in EXPERIMENTS.items():
+            if name != "converge":
+                reports[name] = done(e.run_deck(seed))
+        reports["converge"] = done([run_converge(_started=finish)])
+    return [r for name in EXPERIMENTS for r in reports[name]]
+
+
 def run_all(seed=0):
-    """Run every experiment's run-all deck; returns the reports."""
-    return [r for e in EXPERIMENTS.values() for r in e.run_deck(seed)]
+    """Run every experiment's run-all deck; returns the reports in deck order."""
+    return _run_all(seed, lambda reports: reports)

@@ -82,8 +82,8 @@ def test_check_runs_only_the_deck_entries_the_command_did_not(monkeypatch, argv,
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # concurrent.futures.process alone costs about 12 ms of start-up;
-    # run_converge imports it when it forks.
+    # multiprocessing and concurrent.futures.process cost start-up time;
+    # converge imports multiprocessing only when it forks its child.
     code = ("import sys, chebsig.cli; print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     src = str(Path(exp.__file__).parents[1])

@@ -1,13 +1,16 @@
 import json
 import multiprocessing
 import os
+import re
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from chebsig import experiments as exp
 from chebsig.cheb import evaluate, interpolant_from_values
+from chebsig.cli import main
 from chebsig.report import ExperimentReport, write_report
 
 
@@ -54,8 +57,26 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
                                 reason="no fork start method on this platform")
 
 
+DECK = ["random_10", "random_1000", "converge", "scale", "wavelen", "coeffs_atan",
+        "coeffs_tanh_sum", "coeffs_stripe", "gamma_even_clean", "gamma_even_noise",
+        "gamma_uneven_noise", "spectrum", "deviation", "filter", "nodes", "condition"]
+
+
+def _force_split(monkeypatch, child_takes):
+    """The forked child takes the degrees n with child_takes(n), this process
+    the rest, whatever the shared counter says."""
+    parent = os.getpid()
+
+    def countdown(left):
+        in_child = os.getpid() != parent
+        return (n for n in range(exp.CONVERGE_N_MAX, 0, -1) if child_takes(n) == in_child)
+
+    monkeypatch.setattr(exp, "_countdown", countdown)
+
+
 class TestConvergeSplit:
-    """run_converge's odd degrees in a forked child, whatever the CPU count."""
+    """converge's degrees, shared through one counter by this process and, where
+    _second_cpu allows, a forked child: the split never changes a bit."""
 
     @needs_fork
     def test_forked_child_gives_the_same_bits(self, monkeypatch):
@@ -63,31 +84,133 @@ class TestConvergeSplit:
         monkeypatch.setattr(exp, "CONVERGE_N_MAX", 120)
         threads = threading.active_count()
         runs = []
-        for child in (True, False):
+        # No child; the counter's own split; the child takes none, all, the odd.
+        for child, child_takes in ((False, None), (True, None), (True, lambda n: False),
+                                   (True, lambda n: True), (True, lambda n: n % 2 == 1)):
             monkeypatch.setattr(exp, "_second_cpu", lambda child=child: child)
+            if child_takes:
+                _force_split(monkeypatch, child_takes)
             r = exp.run_converge()
             runs.append(({k: v.hex() for k, v in r.scalars.items()}, r.metadata,
                          {k: c.tobytes() for k, c in r.get_series("errors").columns.items()}))
-        assert runs[0] == runs[1]
+        assert all(run == runs[0] for run in runs[1:])
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
-    @needs_fork
-    def test_an_error_in_the_child_reaches_the_caller(self, monkeypatch):
+    @staticmethod
+    def _refuse(monkeypatch, degree):
+        """run_converge with the child taking the odd degrees and this process
+        the even, and evaluate refusing ``degree``; returns its error."""
         monkeypatch.setattr(exp, "CONVERGE_N_MAX", 10)
         monkeypatch.setattr(exp, "_second_cpu", lambda: True)
+        _force_split(monkeypatch, lambda n: n % 2 == 1)
         evaluate = exp.evaluate
 
-        def refuse_degree_7(p, x):
-            if p.coeffs.size == 8:
-                raise ValueError(f"degree 7 refused in process {os.getpid()}")
+        def refuse(p, x):
+            if p.coeffs.size == degree + 1:
+                raise ValueError(f"degree {degree} refused in process {os.getpid()}")
             return evaluate(p, x)
 
-        monkeypatch.setattr(exp, "evaluate", refuse_degree_7)
-        with pytest.raises(ValueError, match="^degree 7 refused in process ") as info:
+        monkeypatch.setattr(exp, "evaluate", refuse)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"^degree {degree} refused in process ") as info:
             exp.run_converge()
-        assert not str(info.value).endswith(f" {os.getpid()}")  # the child raised it
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        return str(info.value)
+
+    @needs_fork
+    def test_an_error_in_the_child_reaches_the_caller(self, monkeypatch):
+        assert not self._refuse(monkeypatch, 7).endswith(f" {os.getpid()}")
+
+    @needs_fork
+    def test_an_error_in_the_parent_reaches_the_caller(self, monkeypatch):
+        assert self._refuse(monkeypatch, 8).endswith(f" {os.getpid()}")
+
+    @needs_fork
+    def test_a_failed_child_leaves_run_all_no_degree_to_take(self, monkeypatch):
+        monkeypatch.setattr(exp, "_second_cpu", lambda: True)
+        parent, taken, countdown, evaluate = os.getpid(), [], exp._countdown, exp.evaluate
+
+        def counted(left):
+            for n in countdown(left):
+                taken.append(n)
+                yield n
+
+        def refuse_in_child(p, x):
+            if os.getpid() != parent:
+                raise ValueError("refused in the child")
+            return evaluate(p, x)
+
+        def done(reports):
+            while multiprocessing.active_children():  # until the child has failed
+                time.sleep(0.01)
+            return reports
+
+        monkeypatch.setattr(exp, "_countdown", counted)
+        monkeypatch.setattr(exp, "evaluate", refuse_in_child)
+        with pytest.raises(ValueError, match="^refused in the child$"):
+            exp._run_all(0, done)
+        assert taken == []  # this process's list: it took no degree
+
+    @needs_fork
+    def test_an_error_in_run_all_stops_the_child(self, monkeypatch):
+        # The child waits, after its first degree, until the error has emptied
+        # the counter; had it not, the child would take all the others.
+        monkeypatch.setattr(exp, "_second_cpu", lambda: True)
+        ctx = multiprocessing.get_context("fork")
+        child_taken, countdown = ctx.Value("i", 0), exp._countdown
+
+        def counted(left):
+            for n in countdown(left):
+                child_taken.value += 1
+                yield n
+                deadline = time.monotonic() + 10.0
+                while child_taken.value == 1 and left.value > 0 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+
+        def done(reports):
+            while child_taken.value == 0:
+                time.sleep(0.01)
+            raise ValueError("refused in the parent")
+
+        monkeypatch.setattr(exp, "_countdown", counted)
+        with pytest.raises(ValueError, match="^refused in the parent$"):
+            exp._run_all(0, done)
+        assert child_taken.value == 1
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_the_counter_hands_out_each_degree_once(self):
+        # More takers than CPUs: a lost update would hand a degree out twice.
+        ctx = multiprocessing.get_context("fork")
+        left, takers = ctx.Value("l", 20000), []
+        for _ in range(3):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=lambda send=send: send.send(list(exp._countdown(left))))
+            child.start()
+            send.close()
+            takers.append((child, recv))
+        taken = list(exp._countdown(left))
+        for child, recv in takers:
+            assert recv.poll(60)
+            taken += recv.recv()
+            child.join(60)
+            assert not child.is_alive()
+        assert sorted(taken) == list(range(1, 20001))
+
+    @needs_fork
+    def test_run_all_check_prints_the_same_with_and_without_the_child(self, monkeypatch,
+                                                                      capsys):
+        outs = []
+        for child in (True, False):
+            monkeypatch.setattr(exp, "_second_cpu", lambda child=child: child)
+            assert main(["run-all", "--seed", "42", "--check"]) == 0
+            outs.append(re.sub(r"elapsed_seconds=[^,\n]*", "", capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert [line[1:line.index("]")] for line in outs[0].splitlines()
+                if line.startswith("[")] == DECK
+        assert sum(line.startswith("PASS  ") for line in outs[0].splitlines()) == 38
 
 
 class TestCoeffs:
