@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     try:
         # run-all writes each experiment's reports as they finish, while
         # converge's forked child is still at work.
-        reports = (exp._run_all(seed, lambda rs: _written(rs, args)) if run_all
+        reports = (exp.run_all(seed, lambda rs: _written(rs, args)) if run_all
                    else _written(exp.EXPERIMENTS[args.command].run(args), args))
     except OSError as e:
         print(f"chebsig: I/O error: {e}", file=sys.stderr)

@@ -75,7 +75,8 @@ def build_basis_matrix(basis: Basis, domain: Domain, max_degree: int) -> np.ndar
     column per degree, sqrt-weight scaled, one row per grid point.
 
     The grid has max(DEFAULT_GRID, 4*(max_degree+1)) points, enough for the
-    quadrature to resolve every column product.
+    quadrature to resolve every column product.  ValueError if an entry
+    overflows.
     """
     max_degree = _count(max_degree, "max_degree", 0)
     grid_size = max(DEFAULT_GRID, 4 * (max_degree + 1))
@@ -83,15 +84,18 @@ def build_basis_matrix(basis: Basis, domain: Domain, max_degree: int) -> np.ndar
     x = nodes.points
     weights = _clenshaw_curtis_weights(grid_size - 1) * (domain.width / 2.0)
     sqrt_w = np.sqrt(weights)
-    if basis is Basis.CHEBYSHEV:
-        # T_{k+1} = 2 s T_k - T_{k-1}, one new column per degree.
-        s = domain.to_unit(x)
-        cols = [np.ones_like(s), s][: max_degree + 1]
-        for _ in range(max_degree - 1):
-            cols.append(2.0 * s * cols[-1] - cols[-2])
-    else:
-        cols = [x ** k for k in range(max_degree + 1)]
-    return np.column_stack(cols) * sqrt_w[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if basis is Basis.CHEBYSHEV:
+            # T_{k+1} = 2 s T_k - T_{k-1}, one new column per degree.
+            s = domain.to_unit(x)
+            cols = [np.ones_like(s), s][: max_degree + 1]
+            for _ in range(max_degree - 1):
+                cols.append(2.0 * s * cols[-1] - cols[-2])
+        else:
+            cols = [x ** k for k in range(max_degree + 1)]
+        return _finite(np.column_stack(cols) * sqrt_w[:, None],
+                       f"the {basis.value} basis of degree {max_degree} on "
+                       f"[{domain.a}, {domain.b}] overflows")
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ and returns it; none of them writes a file (:func:`chebsig.report.write_report`
 does).  Everything is deterministic given its arguments; wall-clock timings
 are reported as scalars in the JSON only, so CSV output is byte-identical
 across reruns.  ``EXPERIMENTS`` declares each subcommand once: its options,
-its run-all deck and its golden checks.
+its run-all deck and its golden checks.  ``run_all`` runs every deck; where a
+second CPU is free, converge shares its degrees with a forked child.
 """
 
 from __future__ import annotations
@@ -129,23 +130,21 @@ def _cc_norm(weights, values):
 _CONVERGE_FUNCS = {"exp": np.exp, "runge": lambda x: 1.0 / (1.0 + 25.0 * x ** 2)}
 
 
-def _converge_errors(degrees, weights):
+def _converge_errors(degrees, weights, errs):
     """Norms of each function, indexed (L2 on the grid of ``weights``, sup on
-    10^4+1 uniform points) x function, and the same errors of its degree-n
-    interpolants, with a last index over n - 1: NaN but for the n that
-    ``degrees`` yields."""
+    10^4+1 uniform points) x function; the same errors of its degree-n
+    interpolants go into ``errs[..., n - 1]`` for each n that ``degrees``
+    yields."""
     xg = cheb_points_second_kind(weights.size - 1).points
     xu = np.linspace(-1.0, 1.0, 10001)
     xgu = np.concatenate([xg, xu])  # one Clenshaw pass per interpolant
     refs = [(f(xg), f(xu)) for f in _CONVERGE_FUNCS.values()]
-    norms = np.array([[_cc_norm(weights, g), np.max(np.abs(u))] for g, u in refs]).T
-    errs = np.full((2, len(refs), CONVERGE_N_MAX), np.nan)
     for n in degrees:
         for j, (f, (ref_g, ref_u)) in enumerate(zip(_CONVERGE_FUNCS.values(), refs)):
             v = evaluate(interpolant_from_function(f, n=int(n)), xgu)
             errs[:, j, n - 1] = (_cc_norm(weights, ref_g - v[: xg.size]),
                                  np.max(np.abs(ref_u - v[xg.size :])))
-    return norms, errs
+    return np.array([[_cc_norm(weights, g), np.max(np.abs(u))] for g, u in refs]).T
 
 
 def _second_cpu():
@@ -168,59 +167,39 @@ def _countdown(left):
         yield n
 
 
-def _converge_child(left, weights, send):
-    """The forked child's share of converge: it sends its errors or its
-    exception, and on an exception empties the counter first, so that the
-    parent takes no further degree.  The errors fit in the pipe's buffer, so
-    the child never waits for the parent to read them."""
-    try:
-        errs = _converge_errors(_countdown(left), weights)[1]
-    except Exception as exc:
-        left.value = 0
-        errs = exc
-    send.send(errs)
-
-
 @contextlib.contextmanager
 def _converge_started():
     """Start converge's degrees.  Where ``_second_cpu`` holds, a forked child
-    starts taking them from a counter it shares with this process; else the
-    counter is local.  Yields the function that takes this process's share
-    and returns (norms, errors by degree).  On leaving, the counter is
-    emptied, so that after an error neither side takes another degree, and
-    the child is joined."""
+    takes degrees from a counter shared with this process and writes their
+    errors into a shared array.  Yields the function that takes this
+    process's share, joins the child, computes every degree still NaN (all of
+    them without a child) and returns (norms, errors by degree).  On leaving,
+    the counter is emptied and the child joined."""
     wg = clenshaw_curtis_weights(2047)
-    left, child = SimpleNamespace(value=CONVERGE_N_MAX, get_lock=contextlib.nullcontext), None
+    errs, child = np.full((2, 2, CONVERGE_N_MAX), np.nan), None
     if _second_cpu():
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         left = ctx.Value("l", CONVERGE_N_MAX)
-        recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_converge_child, args=(left, wg, send))
+        errs = np.frombuffer(ctx.RawArray("d", 4 * CONVERGE_N_MAX)).reshape(2, 2, -1)
+        errs[...] = np.nan
+        child = ctx.Process(target=_converge_errors, args=(_countdown(left), wg, errs))
         child.start()
-        send.close()
 
     def finish():
-        norms, errs = _converge_errors(_countdown(left), wg)
-        if child is None:
-            return norms, errs
-        try:
-            theirs = recv.recv()
-        except EOFError:
+        if child is not None:
+            _converge_errors(_countdown(left), wg, errs)
             child.join()
-            raise RuntimeError(f"converge's child exited with code {child.exitcode}") from None
-        if isinstance(theirs, Exception):
-            raise theirs
-        return norms, np.where(np.isnan(errs), theirs, errs)
+        missing = np.flatnonzero(np.isnan(errs).any(axis=(0, 1))) + 1
+        return _converge_errors(missing, wg, errs), errs.copy()
 
     try:
         yield finish
     finally:
-        left.value = 0
         if child is not None:
+            left.value = 0
             child.join()
-            recv.close()
 
 
 def run_converge(*, _started=None):
@@ -750,11 +729,12 @@ EXPERIMENTS = {
 }
 
 
-def _run_all(seed, done):
-    """run_all, handing each experiment's reports to ``done`` as they finish
-    and keeping what it returns.  converge's child is forked before anything
-    else runs and converge is finished last, so the child works through the
-    rest of the pass."""
+def run_all(seed, done):
+    """Run every experiment's run-all deck, handing each experiment's reports
+    to ``done`` as they finish and keeping what it returns; returns the
+    reports in deck order.  converge's child is forked before anything else
+    runs and converge is finished last, so the child works through the rest
+    of the pass."""
     reports = {}
     with _converge_started() as finish:
         for name, e in EXPERIMENTS.items():
@@ -762,8 +742,3 @@ def _run_all(seed, done):
                 reports[name] = done(e.run_deck(seed))
         reports["converge"] = done([run_converge(_started=finish)])
     return [r for name in EXPERIMENTS for r in reports[name]]
-
-
-def run_all(seed=0):
-    """Run every experiment's run-all deck; returns the reports in deck order."""
-    return _run_all(seed, lambda reports: reports)

@@ -84,15 +84,19 @@ def gamma_variate(params: GammaParams, t) -> Signal:
     """Evaluate the gamma-variate curve on the given ascending grid.
 
     Times before 0 map to zero.  shape=2 and scale=1 reduce to
-    y = t * exp(-t).
+    y = t * exp(-t).  ValueError where the curve is not finite on the grid.
     """
     t = np.asarray(t, dtype=float)
     y = np.zeros_like(t)
     pos = t >= 0
     a, b = params.shape, params.scale
-    with np.errstate(divide="ignore"):
-        y[pos] = b ** a * t[pos] ** (a - 1.0) * np.exp(-b * t[pos]) / math.gamma(a)
-    return Signal(t, y)
+    message = f"the gamma variate with shape {a} and scale {b} is not finite on this grid"
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            y[pos] = b ** a * t[pos] ** (a - 1.0) * np.exp(-b * t[pos]) / math.gamma(a)
+    except OverflowError:  # b ** a or gamma(a)
+        raise ValueError(message) from None
+    return Signal(t, _finite(y, message))
 
 
 def uneven_grid(count: int, span: float, seed: int, mode: str = "sorted") -> np.ndarray:

@@ -89,6 +89,19 @@ class TestWeights:
 
 
 class TestBuildBasisMatrix:
+    def test_an_overflowing_entry_raises_naming_the_domain_and_degree(self):
+        big = Domain(0.0, 1e200)
+        for call in (build_basis_matrix, conditioning_sweep):
+            with pytest.raises(ValueError, match=r"monomial basis of degree 3 on \[0\.0, 1e\+200\]"):
+                call(Basis.MONOMIAL, big, 3)
+        # Finite entries keep the textbook bits, however large.
+        wide = Domain(0.0, 1e60)
+        x = cheb_points_second_kind(1023, wide).points
+        sqrt_w = np.sqrt(clenshaw_curtis_weights(1023) * (wide.width / 2.0))
+        want = np.column_stack([x ** k for k in range(4)]) * sqrt_w[:, None]
+        got = build_basis_matrix(Basis.MONOMIAL, wide, 3)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_trig_identity_sweep(self):
         # The Chebyshev columns of the basis matrix, unweighted, are T_k
         # on its 1024-point second-kind grid.

@@ -62,21 +62,34 @@ DECK = ["random_10", "random_1000", "converge", "scale", "wavelen", "coeffs_atan
         "gamma_uneven_noise", "spectrum", "deviation", "filter", "nodes", "condition"]
 
 
-def _force_split(monkeypatch, child_takes):
+def _force_split(monkeypatch, child_takes, child_stops=None):
     """The forked child takes the degrees n with child_takes(n), this process
-    the rest, whatever the shared counter says."""
+    the rest, whatever the shared counter says; the child exits at once, with
+    its work unfinished, after child_stops degrees."""
     parent = os.getpid()
 
     def countdown(left):
         in_child = os.getpid() != parent
-        return (n for n in range(exp.CONVERGE_N_MAX, 0, -1) if child_takes(n) == in_child)
+        for i, n in enumerate(n for n in range(exp.CONVERGE_N_MAX, 0, -1)
+                              if child_takes(n) == in_child):
+            if in_child and i == child_stops:
+                os._exit(0)
+            yield n
 
     monkeypatch.setattr(exp, "_countdown", countdown)
 
 
+def _converge_bits():
+    r = exp.run_converge()
+    return ({k: v.hex() for k, v in r.scalars.items()}, r.metadata,
+            {k: c.tobytes() for k, c in r.get_series("errors").columns.items()})
+
+
 class TestConvergeSplit:
     """converge's degrees, shared through one counter by this process and, where
-    _second_cpu allows, a forked child: the split never changes a bit."""
+    _second_cpu allows, a forked child that writes their errors into a shared
+    array: the split never changes a bit, and this process computes whatever
+    degree the child leaves undone."""
 
     @needs_fork
     def test_forked_child_gives_the_same_bits(self, monkeypatch):
@@ -90,17 +103,27 @@ class TestConvergeSplit:
             monkeypatch.setattr(exp, "_second_cpu", lambda child=child: child)
             if child_takes:
                 _force_split(monkeypatch, child_takes)
-            r = exp.run_converge()
-            runs.append(({k: v.hex() for k, v in r.scalars.items()}, r.metadata,
-                         {k: c.tobytes() for k, c in r.get_series("errors").columns.items()}))
+            runs.append(_converge_bits())
         assert all(run == runs[0] for run in runs[1:])
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
+    @needs_fork
+    def test_a_child_that_dies_leaves_its_degrees_to_the_process(self, monkeypatch):
+        monkeypatch.setattr(exp, "CONVERGE_N_MAX", 120)
+        monkeypatch.setattr(exp, "_second_cpu", lambda: False)
+        want = _converge_bits()
+        # The child takes the odd degrees, computes 119, 117 and 115, and exits.
+        monkeypatch.setattr(exp, "_second_cpu", lambda: True)
+        _force_split(monkeypatch, lambda n: n % 2 == 1, child_stops=3)
+        assert _converge_bits() == want
+        assert multiprocessing.active_children() == []
+
     @staticmethod
-    def _refuse(monkeypatch, degree):
+    def _refuse(monkeypatch, capfd, degree):
         """run_converge with the child taking the odd degrees and this process
-        the even, and evaluate refusing ``degree``; returns its error."""
+        the even, and evaluate refusing ``degree`` in either; returns what the
+        child printed on stderr."""
         monkeypatch.setattr(exp, "CONVERGE_N_MAX", 10)
         monkeypatch.setattr(exp, "_second_cpu", lambda: True)
         _force_split(monkeypatch, lambda n: n % 2 == 1)
@@ -108,50 +131,26 @@ class TestConvergeSplit:
 
         def refuse(p, x):
             if p.coeffs.size == degree + 1:
-                raise ValueError(f"degree {degree} refused in process {os.getpid()}")
+                raise ValueError(f"degree {degree} refused")
             return evaluate(p, x)
 
         monkeypatch.setattr(exp, "evaluate", refuse)
         threads = threading.active_count()
-        with pytest.raises(ValueError, match=f"^degree {degree} refused in process ") as info:
+        with pytest.raises(ValueError, match=f"^degree {degree} refused$"):
             exp.run_converge()
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
-        return str(info.value)
+        return capfd.readouterr().err
 
     @needs_fork
-    def test_an_error_in_the_child_reaches_the_caller(self, monkeypatch):
-        assert not self._refuse(monkeypatch, 7).endswith(f" {os.getpid()}")
+    def test_an_error_in_the_child_reaches_the_caller(self, monkeypatch, capfd):
+        # The child prints its traceback; this process meets the same error
+        # when it computes the degree the child left undone.
+        assert "ValueError: degree 7 refused" in self._refuse(monkeypatch, capfd, 7)
 
     @needs_fork
-    def test_an_error_in_the_parent_reaches_the_caller(self, monkeypatch):
-        assert self._refuse(monkeypatch, 8).endswith(f" {os.getpid()}")
-
-    @needs_fork
-    def test_a_failed_child_leaves_run_all_no_degree_to_take(self, monkeypatch):
-        monkeypatch.setattr(exp, "_second_cpu", lambda: True)
-        parent, taken, countdown, evaluate = os.getpid(), [], exp._countdown, exp.evaluate
-
-        def counted(left):
-            for n in countdown(left):
-                taken.append(n)
-                yield n
-
-        def refuse_in_child(p, x):
-            if os.getpid() != parent:
-                raise ValueError("refused in the child")
-            return evaluate(p, x)
-
-        def done(reports):
-            while multiprocessing.active_children():  # until the child has failed
-                time.sleep(0.01)
-            return reports
-
-        monkeypatch.setattr(exp, "_countdown", counted)
-        monkeypatch.setattr(exp, "evaluate", refuse_in_child)
-        with pytest.raises(ValueError, match="^refused in the child$"):
-            exp._run_all(0, done)
-        assert taken == []  # this process's list: it took no degree
+    def test_an_error_in_the_parent_reaches_the_caller(self, monkeypatch, capfd):
+        assert "Traceback" not in self._refuse(monkeypatch, capfd, 8)
 
     @needs_fork
     def test_an_error_in_run_all_stops_the_child(self, monkeypatch):
@@ -176,7 +175,7 @@ class TestConvergeSplit:
 
         monkeypatch.setattr(exp, "_countdown", counted)
         with pytest.raises(ValueError, match="^refused in the parent$"):
-            exp._run_all(0, done)
+            exp.run_all(0, done)
         assert child_taken.value == 1
         assert multiprocessing.active_children() == []
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -88,6 +89,28 @@ class TestGammaVariate:
         rises = np.diff(s.y) > 0
         # One contiguous rising stretch, then one falling stretch.
         assert np.sum(np.diff(rises.astype(int)) != 0) == 1
+
+    @pytest.mark.parametrize("shape, scale, t", [
+        (400.0, 1.0, [0.0, 1.0, 500.0]),  # 500 ** 399 and gamma(400) overflow
+        (2.0, 1e200, [0.0, 1.0, 2.0]),  # scale ** shape overflows
+        (0.5, 1.0, [0.0, 1.0, 2.0]),  # t ** (shape - 1) has a pole at 0
+    ])
+    def test_a_curve_that_overflows_raises_naming_shape_and_scale(self, shape, scale, t):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape} and scale {scale} ")):
+            gamma_variate(GammaParams(shape, scale), t)
+
+    def test_a_finite_curve_or_a_value_error_never_a_warning(self):
+        t = [0.0, 1e-300, 0.5, 1.0, 500.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shape in 10.0 ** np.arange(-3, 4):
+                for scale in 10.0 ** np.arange(-300, 301, 50):
+                    try:
+                        y = gamma_variate(GammaParams(shape, scale), t).y
+                    except ValueError as e:
+                        assert f"shape {shape} and scale {scale} " in str(e)
+                    else:
+                        assert np.isfinite(y).all()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
