@@ -348,6 +348,8 @@ def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
     np.multiply(values[..., 1:-1], scale, out=ext[..., n + 1 :])
     coeffs = np.fft.rfft(ext)[..., : n + 1].real
     coeffs[..., ::n] *= 0.5  # the first and last
+    if scale > 2.0 ** -1020:  # scaled |values| < 1, so |coeffs| < 2 n: no overflow
+        return coeffs / (n * scale)
     return _unscaled(coeffs, n * scale, "the series coefficients overflow")
 
 
@@ -409,37 +411,38 @@ def _chop_point(coeffs: np.ndarray, tol: float) -> int:
         return n
     env = np.maximum.accumulate(mag[::-1])[::-1] / top
     e1 = env[1:stop]
-    # env is non-increasing, so its zeros are a suffix of e1.
-    live = int(np.count_nonzero(e1))
-    start = int(np.count_nonzero(e1[:live] > level))
-    q = env[(5 * np.arange(start, live) + 28) // 4] / e1[start:live]
-    r = 3.0 * (1.0 - np.log(e1[start:live]) / math.log(tol))
-    # np.log and math.log (the one-j-at-a-time walk's) can differ in the
-    # last bit, which could flip a near-tie.  Over the 1.67 M entries tested
-    # in the 5802 chops of six adaptive benchmark seeds, the two r differed
-    # by at most 6.7e-16, and no q lay within 2e-6 of its r.  So a decision
-    # further than 1e-12 from its tie is the same with either log; inside
-    # that band r is recomputed with math.log.
-    for k in np.flatnonzero(np.abs(q - r) <= 1e-12):
-        r[k] = 3.0 * (1.0 - math.log(e1[start + k]) / math.log(tol))
-    # The walk stops at the first j whose ratio test passes, else at the
-    # first zero of the envelope; with neither there is no plateau.
-    hits = np.flatnonzero(q > r)
-    if hits.size:
-        i = start + int(hits[0])
-    elif live < e1.size:
-        i = live
-    else:
+    # e1 does not increase: its first live entries are > 0, its first start > level.
+    live = e1.size - int(e1[::-1].searchsorted(0.0, "right"))
+    start = e1.size - int(e1[::-1].searchsorted(level, "right"))
+    # The walk stops at the first j whose ratio test passes, else at the first
+    # zero of the envelope.  So it is tested in windows from start that double
+    # from 2048 entries, about what a window's dozen numpy calls cost.  np.log
+    # and math.log (the one-j-at-a-time walk's) can differ in the last bit,
+    # which could flip a near-tie.  Over the 1.67 M entries tested in the 5802
+    # chops of six adaptive benchmark seeds, the two r differed by at most
+    # 6.7e-16, and no q lay within 2e-6 of its r.  So a decision further than
+    # 1e-12 from its tie is the same with either log; inside that band r is
+    # recomputed with math.log.
+    i, width = start, 2048
+    while i < live:
+        e = e1[i : min(i + width, live)]
+        q = env[np.arange(5 * i + 28, 5 * (i + e.size) + 28, 5) // 4] / e
+        d = q - 3.0 * (1.0 - np.log(e) / math.log(tol))
+        hit = next((k for k in np.flatnonzero(d >= -1e-12) if d[k] > 1e-12
+                    or q[k] > 3.0 * (1.0 - math.log(e[k]) / math.log(tol))), None)
+        if hit is not None:
+            i += int(hit)
+            break
+        i, width = i + e.size, 2 * width
+    if i == e1.size:  # no hit and no zero: no plateau
         return n
     j2 = (5 * i + 32) // 4
-    j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
-    if j3 < j2:
-        j2 = j3 + 1
+    if env[j2 - 1] < tol ** (7.0 / 6.0):  # cut j2 to one past the last entry >= it
+        j2 = env.size + 1 - int(env[::-1].searchsorted(tol ** (7.0 / 6.0)))
         env[j2 - 1] = tol ** (7.0 / 6.0)
     cc = np.log10(env[:j2])
     cc += np.linspace(0.0, (-1.0 / 3.0) * math.log10(tol), j2)
-    d = int(np.argmin(cc))
-    return max(d, 1)
+    return max(int(np.argmin(cc)), 1)
 
 
 def interpolant_from_function(
@@ -475,16 +478,13 @@ def interpolant_from_function(
         return interpolant_from_values(_sample(f, nodes.points), domain)
 
     unit = _second_kind_unit_points(2 ** 16)
-    vals = None
-    for k in range(3, 17):
+    # f gets contiguous copies, never strided views of the cached grid.  The
+    # 9-point series is never built: _chop_point leaves it unresolved.
+    vals = _sample(f, np.ascontiguousarray(_map_unit_points(unit[:: 2 ** 13], domain, ends=True)))
+    for k in range(4, 17):
         pts = _map_unit_points(unit[:: 2 ** (16 - k)], domain, ends=True)
-        # f gets a contiguous copy: never a strided view of the cached grid.
-        if vals is None:
-            vals = _sample(f, np.ascontiguousarray(pts))
-        else:
-            prev, vals = vals, np.empty(pts.size)
-            vals[::2] = prev
-            vals[1::2] = _sample(f, np.ascontiguousarray(pts[1::2]))
+        prev, vals = vals, np.empty(pts.size)
+        vals[::2], vals[1::2] = prev, _sample(f, np.ascontiguousarray(pts[1::2]))
         coeffs = _values_to_coeffs(vals)
         cut = _chop_point(coeffs, _EPS)
         if cut < coeffs.size:

@@ -733,12 +733,14 @@ def run_all(seed, done):
     """Run every experiment's run-all deck, handing each experiment's reports
     to ``done`` as they finish and keeping what it returns; returns the
     reports in deck order.  converge's child is forked before anything else
-    runs and converge is finished last, so the child works through the rest
-    of the pass."""
+    runs and converge is finished after the rest, so the child works through
+    the pass.  condition runs once the child is joined: its threaded BLAS
+    calls would wait for the child's CPU."""
     reports = {}
     with _converge_started() as finish:
         for name, e in EXPERIMENTS.items():
-            if name != "converge":
+            if name not in ("converge", "condition"):
                 reports[name] = done(e.run_deck(seed))
         reports["converge"] = done([run_converge(_started=finish)])
+    reports["condition"] = done(EXPERIMENTS["condition"].run_deck(seed))
     return [r for name in EXPERIMENTS for r in reports[name]]

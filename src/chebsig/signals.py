@@ -84,18 +84,29 @@ def gamma_variate(params: GammaParams, t) -> Signal:
     """Evaluate the gamma-variate curve on the given ascending grid.
 
     Times before 0 map to zero.  shape=2 and scale=1 reduce to
-    y = t * exp(-t).  ValueError where the curve is not finite on the grid.
+    y = t * exp(-t).  Where a factor overflows (b ** a, t ** (a - 1) or
+    gamma(a), as for shape 200), the curve is exp(a log b + (a - 1) log t
+    - b t - lgamma(a)) instead.  ValueError where it is not finite on the grid.
     """
     t = np.asarray(t, dtype=float)
     y = np.zeros_like(t)
     pos = t >= 0
     a, b = params.shape, params.scale
     message = f"the gamma variate with shape {a} and scale {b} is not finite on this grid"
-    try:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
             y[pos] = b ** a * t[pos] ** (a - 1.0) * np.exp(-b * t[pos]) / math.gamma(a)
-    except OverflowError:  # b ** a or gamma(a)
-        raise ValueError(message) from None
+        except OverflowError:  # b ** a or gamma(a)
+            y[pos] = np.inf
+        # At t = 0, (a - 1) log t is -inf for a > 1 (so y = 0) and +inf for
+        # a < 1 (not finite, as above); with a = 1 no factor overflows.
+        big = np.flatnonzero(pos & ~np.isfinite(y))
+        if big.size:
+            try:
+                lg = math.lgamma(a)
+            except OverflowError:  # shape above about 2.5e305
+                raise ValueError(message) from None
+            y[big] = np.exp(a * math.log(b) + (a - 1.0) * np.log(t[big]) - b * t[big] - lg)
     return Signal(t, _finite(y, message))
 
 

@@ -317,6 +317,24 @@ class TestInterpolantFromFunction:
         assert seen == [(9, True)] + [(2 ** (k - 1), True) for k in range(4, 3 + len(rebuilt))]
         assert sum(size for size, _ in seen) == rebuilt[-1]
 
+    def test_nine_points_are_sampled_never_transformed(self, monkeypatch):
+        # _chop_point leaves a series of fewer than 17 coefficients unresolved.
+        seen, transformed = [], []
+        to_coeffs = cheb._values_to_coeffs
+
+        def record(values):
+            transformed.append(values.size)
+            return to_coeffs(values)
+
+        def f(x):
+            seen.append(x.size)
+            return np.tanh(30.0 * x)
+
+        monkeypatch.setattr(cheb, "_values_to_coeffs", record)
+        interpolant_from_function(f)
+        assert seen[0] == 9
+        assert transformed == [2 ** k + 1 for k in range(4, 3 + len(seen))]
+
     @pytest.mark.parametrize("domain", [UNIT, Domain(0.24, 3.14)], ids=["unit", "0.24-3.14"])
     def test_f_writing_into_its_argument_changes_no_later_construction(self, domain):
         def scribble(x):

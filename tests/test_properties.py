@@ -428,8 +428,9 @@ def test_chop_point_matches_scalar_walk_on_an_adaptive_round(monkeypatch):
         return _chop_point(coeffs, tol)
 
     monkeypatch.setattr(cheb, "_chop_point", record)
-    for op in workloads.Adaptive(0).ops(0):
-        op()
+    for seed in (0, 1):
+        for op in workloads.Adaptive(seed).ops(0):
+            op()
     assert len(seen) > 900
     mismatched = [i for i, (c, tol) in enumerate(seen)
                   if _chop_point(c, tol) != _scalar_chop_point(c, tol)]

@@ -91,13 +91,35 @@ class TestGammaVariate:
         assert np.sum(np.diff(rises.astype(int)) != 0) == 1
 
     @pytest.mark.parametrize("shape, scale, t", [
-        (400.0, 1.0, [0.0, 1.0, 500.0]),  # 500 ** 399 and gamma(400) overflow
-        (2.0, 1e200, [0.0, 1.0, 2.0]),  # scale ** shape overflows
+        (1e-3, 1.0, [1e-320, 1.0]),  # about e^729 at the subnormal time
+        (1e-3, 1e300, [5e-324, 1.0]),  # about 2e320 at the least positive time
         (0.5, 1.0, [0.0, 1.0, 2.0]),  # t ** (shape - 1) has a pole at 0
     ])
     def test_a_curve_that_overflows_raises_naming_shape_and_scale(self, shape, scale, t):
         with pytest.raises(ValueError, match=re.escape(f"shape {shape} and scale {scale} ")):
             gamma_variate(GammaParams(shape, scale), t)
+
+    @pytest.mark.parametrize("shape, scale, span", [
+        (200.0, 1.0, 400.0),  # gamma(200) overflows
+        (400.0, 1.0, 800.0),  # so do 500 ** 399 and gamma(400)
+        (2.0, 1e200, 4e-199),  # scale ** shape overflows
+    ], ids=["shape-200", "shape-400", "scale-1e200"])
+    def test_a_finite_curve_whose_factors_overflow_is_a_density(self, shape, scale, span):
+        # Each span holds all but 1e-15 of the mass.
+        t = np.linspace(0.0, span, 40001)
+        y = gamma_variate(GammaParams(shape, scale), t).y
+        assert np.trapezoid(y, t) == pytest.approx(1.0, rel=1e-6)
+
+    def test_a_finite_curve_whose_factors_overflow_matches_its_closed_form(self):
+        # Both raised ValueError while gamma(200) or 1e200 ** 2 overflowed.
+        s = gamma_variate(GammaParams(200.0, 1.0), np.linspace(0.0, 400.0, 5))
+        assert s.y[0] == 0.0
+        assert s.y[2] == pytest.approx(math.exp(199.0 * math.log(200.0) - 200.0
+                                                - math.lgamma(200.0)), rel=1e-13)
+        assert 0.0 < np.max(s.y) <= 0.0283
+        t = np.array([1e-201, 1e-200, 3e-200])
+        y = gamma_variate(GammaParams(2.0, 1e200), t).y
+        assert np.allclose(y, 1e200 * (1e200 * t) * np.exp(-1e200 * t), rtol=1e-12, atol=0)
 
     def test_a_finite_curve_or_a_value_error_never_a_warning(self):
         t = [0.0, 1e-300, 0.5, 1.0, 500.0]
