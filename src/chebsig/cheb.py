@@ -441,8 +441,46 @@ def _chop_point(coeffs: np.ndarray, tol: float) -> int:
         j2 = env.size + 1 - int(env[::-1].searchsorted(tol ** (7.0 / 6.0)))
         env[j2 - 1] = tol ** (7.0 / 6.0)
     cc = np.log10(env[:j2])
-    cc += np.linspace(0.0, (-1.0 / 3.0) * math.log10(tol), j2)
+    cc += _ramp((-1.0 / 3.0) * math.log10(tol), j2)
     return max(int(np.argmin(cc)), 1)
+
+
+def _ramp(stop: float, count: int) -> np.ndarray:
+    """``np.linspace(0.0, stop, count)`` for count >= 2, bit for bit: numpy's
+    own arithmetic for a zero start, without its argument handling."""
+    ramp = np.arange(count) * (stop / (count - 1))
+    ramp[-1] = stop
+    return ramp
+
+
+@functools.lru_cache(maxsize=9)
+def _tail_rows(n: int) -> np.ndarray:
+    """Read-only (n+1) x 4 matrix taking values at the ascending second-kind
+    points to their coefficients j = stop - 1, stop, n - 1 and n, stop being
+    ``_chop_point``'s: (2/n) T_j(x_i), weighed as the transform weighs them."""
+    stop = (4 * (n + 1) - 19) // 5
+    m = np.arange(n, -1, -1)  # x_i = cos(m_i pi / n), ascending
+    rows = np.cos(np.outer(m, [stop - 1, stop, n - 1, n]) % (2 * n) * (np.pi / n)) * (2.0 / n)
+    rows[[0, -1]] *= 0.5
+    rows[:, 3] *= 0.5
+    rows.flags.writeable = False
+    return rows
+
+
+def _tail_unresolved(values: np.ndarray) -> bool:
+    """True only where ``_chop_point`` finds no plateau in the coefficients
+    of these values, decided from four of them without the transform.
+
+    Every coefficient is at most 2 max|v|, so one above 4 (2 tol^(2/3))
+    max|v| puts the chop's last tested envelope entry above its level
+    2 tol^(2/3).  The factor 2 leaves 1.5e-10 max|v| for rounding, which
+    stays below 1e-12 max|v| up to 4097 points.  Outside 2^-900 < max|v| <
+    2^900 rounding is not relative, and False leaves the grid to the chop."""
+    top = np.abs(values).max()
+    if not 2.0 ** -900 < top < 2.0 ** 900:
+        return False
+    tail = (values @ _tail_rows(values.size - 1)).tolist()
+    return max(map(abs, tail)) > 8.0 * _EPS ** (2.0 / 3.0) * top
 
 
 def interpolant_from_function(
@@ -465,7 +503,10 @@ def interpolant_from_function(
         relative to the largest coefficient, then chopped there.  Each
         grid is every other point of the next, so ``f`` is called on the
         9-point grid and then only on each finer grid's 2^(k-1) new points:
-        2^K + 1 evaluations in all when grid K resolves.
+        2^K + 1 evaluations in all when grid K resolves.  Grids of 17 to
+        4097 points whose tail certificate (``_tail_unresolved``) shows them
+        unresolved skip the transform; the chop rejects them too, so the
+        result, the calls to ``f`` and ``best`` keep every bit.
 
     Raises
     ------
@@ -485,6 +526,8 @@ def interpolant_from_function(
         pts = _map_unit_points(unit[:: 2 ** (16 - k)], domain, ends=True)
         prev, vals = vals, np.empty(pts.size)
         vals[::2], vals[1::2] = prev, _sample(f, np.ascontiguousarray(pts[1::2]))
+        if k <= 12 and _tail_unresolved(vals):
+            continue
         coeffs = _values_to_coeffs(vals)
         cut = _chop_point(coeffs, _EPS)
         if cut < coeffs.size:

@@ -318,7 +318,8 @@ class TestInterpolantFromFunction:
         assert sum(size for size, _ in seen) == rebuilt[-1]
 
     def test_nine_points_are_sampled_never_transformed(self, monkeypatch):
-        # _chop_point leaves a series of fewer than 17 coefficients unresolved.
+        # _chop_point leaves a series of fewer than 17 coefficients unresolved;
+        # the tail certificate may reject further grids before their transform.
         seen, transformed = [], []
         to_coeffs = cheb._values_to_coeffs
 
@@ -331,9 +332,11 @@ class TestInterpolantFromFunction:
             return np.tanh(30.0 * x)
 
         monkeypatch.setattr(cheb, "_values_to_coeffs", record)
-        interpolant_from_function(f)
-        assert seen[0] == 9
-        assert transformed == [2 ** k + 1 for k in range(4, 3 + len(seen))]
+        p = interpolant_from_function(f)
+        assert 9 not in transformed
+        assert seen == [9] + [2 ** (k - 1) for k in range(4, 3 + len(seen))]
+        # The last transform is the returned grid's, 2^K + 1 = sum(seen) points.
+        assert transformed[-1] == sum(seen) > len(p)
 
     @pytest.mark.parametrize("domain", [UNIT, Domain(0.24, 3.14)], ids=["unit", "0.24-3.14"])
     def test_f_writing_into_its_argument_changes_no_later_construction(self, domain):

@@ -421,20 +421,118 @@ def test_chop_point_matches_scalar_walk_on_an_adaptive_round(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import workloads
 
-    seen = []
+    # Every grid's values: grids of up to 4097 points all reach the tail
+    # certificate, which may reject them untransformed; larger ones reach
+    # only the transform.
+    grids = []
+    certify, to_coeffs = cheb._tail_unresolved, cheb._values_to_coeffs
 
-    def record(coeffs, tol):
-        seen.append((coeffs.copy(), tol))
-        return _chop_point(coeffs, tol)
+    def record_certified(values):
+        grids.append(values.copy())
+        return certify(values)
 
-    monkeypatch.setattr(cheb, "_chop_point", record)
+    def record_transformed(values):
+        if values.size > 2 ** 12 + 1:
+            grids.append(values.copy())
+        return to_coeffs(values)
+
+    monkeypatch.setattr(cheb, "_tail_unresolved", record_certified)
+    monkeypatch.setattr(cheb, "_values_to_coeffs", record_transformed)
     for seed in (0, 1):
         for op in workloads.Adaptive(seed).ops(0):
             op()
+    seen = [to_coeffs(v) for v in grids]
     assert len(seen) > 900
-    mismatched = [i for i, (c, tol) in enumerate(seen)
-                  if _chop_point(c, tol) != _scalar_chop_point(c, tol)]
+    mismatched = [i for i, c in enumerate(seen)
+                  if _chop_point(c, cheb._EPS) != _scalar_chop_point(c, cheb._EPS)]
     assert mismatched == []
+
+
+def test_ramp_is_linspace_bit_for_bit():
+    # The chop's ramp for every cut length up to 2999 and the largest
+    # grids', under tolerances from 2^-52 to 1e-6.
+    for tol in (2.0 ** -52, 1e-14, 1e-12, 1e-10, 1e-6):
+        rise = (-1.0 / 3.0) * math.log10(tol)
+        for count in [*range(2, 3000), 13107, 52430, 65537]:
+            assert cheb._ramp(rise, count).tobytes() == np.linspace(0.0, rise, count).tobytes()
+
+
+_CHOP_LEVEL = 2.0 * cheb._EPS ** (2.0 / 3.0)
+
+
+def _tail_series(k, decay, tail, parity, seed):
+    """Coefficients of degree 2^k whose magnitude at stop - 1, the chop's
+    last tested envelope index, is tail times the chop level relative to c_0
+    (geometric or algebraic decay, random signs), or a lone coefficient
+    there beside c_0 = 1 (or c_1 = 1 for odd parity): "single", whose
+    values have max|v| = 1 + tail * level at x = 1."""
+    n = 2 ** k
+    stop = (4 * (n + 1) - 19) // 5
+    j = np.arange(n + 1.0)
+    if decay == "single":
+        head = 1 if parity == "odd" else 0
+        c = np.zeros(n + 1)
+        c[head] = 1.0
+        c[stop - 1 if parity == "mixed" or (stop - 1 - head) % 2 == 0 else stop] = tail * _CHOP_LEVEL
+        return c
+    if decay == "geometric":
+        c = (tail * _CHOP_LEVEL) ** (j / (stop - 1))
+    else:
+        c = (j + 1.0) ** (math.log(tail * _CHOP_LEVEL) / math.log(stop))
+    c *= np.random.default_rng(seed).choice([-1.0, 1.0], n + 1)
+    if parity == "odd":
+        c[::2] = 0.0
+    elif parity == "even":
+        c[1::2] = 0.0
+    return c
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=4, max_value=12),
+       st.sampled_from(["geometric", "algebraic", "single"]),
+       st.floats(min_value=0.1, max_value=100.0),
+       st.sampled_from(["odd", "even", "mixed"]),
+       st.integers(min_value=-800, max_value=800),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+# A lone tail coefficient just above and just below 4 levels of max|v|.
+@example(4, "single", 4.0 * (1 + 1e-3), "even", 0, 0)
+@example(4, "single", 4.0 * (1 - 1e-3), "odd", 800, 0)
+@example(12, "single", 4.0 * (1 + 1e-3), "odd", -800, 0)
+@example(12, "single", 4.0 * (1 - 1e-3), "mixed", 0, 0)
+@example(9, "single", 4.0 * (1 + 1e-3), "mixed", 800, 0)
+@example(9, "single", 4.0 * (1 - 1e-3), "even", -800, 0)
+def test_tail_certificate_rejects_only_grids_the_chop_rejects(
+        inverse_cosine_transform, k, decay, tail, parity, log2_scale, seed):
+    v = inverse_cosine_transform(_tail_series(k, decay, tail, parity, seed)) * 2.0 ** log2_scale
+    rejected = cheb._tail_unresolved(v)
+    if rejected:
+        assert _chop_point(cheb._values_to_coeffs(v), cheb._EPS) == v.size
+    if decay == "single":
+        # Its lone coefficient passes 4 levels of max|v| = 1 + tail * level
+        # where tail > 4 (1 + 3e-10); rounding moves that by less than 1e-6.
+        assert rejected == (tail > 4.0) or abs(tail - 4.0) < 4e-4
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+@pytest.mark.parametrize("log2_scale", [-899, 0, 899])
+def test_tail_rows_give_the_transforms_tail(k, log2_scale):
+    # The certificate's error against the transform's four coefficients,
+    # which its factor-2 margin of 1.5e-10 max|v| must cover.
+    n = 2 ** k
+    stop = (4 * (n + 1) - 19) // 5
+    v = np.random.default_rng(k).standard_normal(n + 1) * 2.0 ** log2_scale
+    want = cheb._values_to_coeffs(v)[[stop - 1, stop, n - 1, n]]
+    assert np.abs(v @ cheb._tail_rows(n) - want).max() <= 1e-12 * np.abs(v).max()
+
+
+def test_tail_rows_cache_holds_nine_grids():
+    # A construction that reaches the 65537-point grid passes every size.
+    cheb._tail_rows.cache_clear()
+    with pytest.raises(cheb.UnresolvedFunctionError):
+        cheb.interpolant_from_function(lambda x: np.sin(1e6 * x))
+    assert cheb._tail_rows.cache_info().currsize == 9
+    assert sum(cheb._tail_rows(2 ** k).nbytes for k in range(4, 13)) <= 256 * 1024
+    assert cheb._tail_rows.cache_info().currsize == 9
 
 
 def _bits(a):
