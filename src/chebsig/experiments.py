@@ -12,6 +12,7 @@ second CPU is free, converge shares its degrees with a forked child.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import operator
 import os
@@ -155,41 +156,36 @@ def _second_cpu():
     return len(cpus) >= 2 and not multiprocessing.current_process().daemon
 
 
-def _countdown(left):
-    """Degrees taken from the shared counter ``left``, largest first, until
-    none is left."""
-    while True:
-        with left.get_lock():
-            n = left.value
-            left.value = n - 1
-        if n < 1:
-            return
-        yield n
+def _undone(degrees, errs):
+    """``degrees`` up to the first whose errors ``errs`` holds in full."""
+    return itertools.takewhile(lambda n: np.isnan(errs[..., n - 1]).any(), degrees)
 
 
 @contextlib.contextmanager
 def _converge_started():
     """Start converge's degrees.  Where ``_second_cpu`` holds, a forked child
-    takes degrees from a counter shared with this process and writes their
-    errors into a shared array.  Yields the function that takes this
-    process's share, joins the child, computes every degree still NaN (all of
-    them without a child) and returns (norms, errors by degree).  On leaving,
-    the counter is emptied and the child joined."""
+    walks the degrees down from the largest, and writes their errors into an
+    array shared with this process, until it meets a degree whose errors are
+    written.  Yields the function that walks this process up from degree 1
+    in the same way, joins the child, computes every degree still NaN (none
+    without a child) and returns (norms, errors by degree).  On leaving, the
+    array's NaNs are filled, so that the child stops at its next degree, and
+    the child is joined."""
     wg = clenshaw_curtis_weights(2047)
     errs, child = np.full((2, 2, CONVERGE_N_MAX), np.nan), None
     if _second_cpu():
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        left = ctx.Value("l", CONVERGE_N_MAX)
         errs = np.frombuffer(ctx.RawArray("d", 4 * CONVERGE_N_MAX)).reshape(2, 2, -1)
         errs[...] = np.nan
-        child = ctx.Process(target=_converge_errors, args=(_countdown(left), wg, errs))
+        down = _undone(range(CONVERGE_N_MAX, 0, -1), errs)
+        child = ctx.Process(target=_converge_errors, args=(down, wg, errs))
         child.start()
 
     def finish():
+        _converge_errors(_undone(range(1, CONVERGE_N_MAX + 1), errs), wg, errs)
         if child is not None:
-            _converge_errors(_countdown(left), wg, errs)
             child.join()
         missing = np.flatnonzero(np.isnan(errs).any(axis=(0, 1))) + 1
         return _converge_errors(missing, wg, errs), errs.copy()
@@ -198,7 +194,7 @@ def _converge_started():
         yield finish
     finally:
         if child is not None:
-            left.value = 0
+            np.nan_to_num(errs, copy=False)
             child.join()
 
 

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import threading
 import time
 
@@ -62,21 +63,23 @@ DECK = ["random_10", "random_1000", "converge", "scale", "wavelen", "coeffs_atan
         "gamma_uneven_noise", "spectrum", "deviation", "filter", "nodes", "condition"]
 
 
-def _force_split(monkeypatch, child_takes, child_stops=None):
-    """The forked child takes the degrees n with child_takes(n), this process
-    the rest, whatever the shared counter says; the child exits at once, with
-    its work unfinished, after child_stops degrees."""
-    parent = os.getpid()
+def _force_split(monkeypatch, child_takes=None, child_dies=None):
+    """The forked child takes the degrees n with child_takes(n), and this
+    process the rest, whatever the shared array says; or, if child_takes is
+    None, each side walks as _undone does.  The child kills itself with
+    SIGKILL before its child_dies-th degree."""
+    parent, undone = os.getpid(), exp._undone
 
-    def countdown(left):
-        in_child = os.getpid() != parent
-        for i, n in enumerate(n for n in range(exp.CONVERGE_N_MAX, 0, -1)
-                              if child_takes(n) == in_child):
-            if in_child and i == child_stops:
-                os._exit(0)
+    def forced(degrees, errs):
+        in_child = os.getpid() != parent  # first read at the first degree, after the fork
+        walk = (undone(degrees, errs) if child_takes is None
+                else (n for n in degrees if child_takes(n) == in_child))
+        for i, n in enumerate(walk):
+            if in_child and i == child_dies:
+                os.kill(os.getpid(), signal.SIGKILL)
             yield n
 
-    monkeypatch.setattr(exp, "_countdown", countdown)
+    monkeypatch.setattr(exp, "_undone", forced)
 
 
 def _converge_bits():
@@ -86,10 +89,11 @@ def _converge_bits():
 
 
 class TestConvergeSplit:
-    """converge's degrees, shared through one counter by this process and, where
-    _second_cpu allows, a forked child that writes their errors into a shared
-    array: the split never changes a bit, and this process computes whatever
-    degree the child leaves undone."""
+    """converge's degrees, walked up by this process and, where _second_cpu
+    allows, down by a forked child, each writing their errors into a shared
+    array until it meets a degree the other has written: the split never
+    changes a bit, and this process computes whatever degree the child leaves
+    undone."""
 
     @needs_fork
     def test_forked_child_gives_the_same_bits(self, monkeypatch):
@@ -97,9 +101,9 @@ class TestConvergeSplit:
         monkeypatch.setattr(exp, "CONVERGE_N_MAX", 120)
         threads = threading.active_count()
         runs = []
-        # No child; the counter's own split; the child takes none, all, the odd.
-        for child, child_takes in ((False, None), (True, None), (True, lambda n: False),
-                                   (True, lambda n: True), (True, lambda n: n % 2 == 1)):
+        # No child; the sides meeting in the middle; the child takes the odd
+        # degrees and this process the even, so neither meets the other.
+        for child, child_takes in ((False, None), (True, None), (True, lambda n: n % 2 == 1)):
             monkeypatch.setattr(exp, "_second_cpu", lambda child=child: child)
             if child_takes:
                 _force_split(monkeypatch, child_takes)
@@ -113,11 +117,14 @@ class TestConvergeSplit:
         monkeypatch.setattr(exp, "CONVERGE_N_MAX", 120)
         monkeypatch.setattr(exp, "_second_cpu", lambda: False)
         want = _converge_bits()
-        # The child takes the odd degrees, computes 119, 117 and 115, and exits.
+        # SIGKILL before the child's first degree, with it taking the odd
+        # degrees, which this process computes after the join; and after 120,
+        # 119 and 118, with the sides walking to meet, so this process walks on.
         monkeypatch.setattr(exp, "_second_cpu", lambda: True)
-        _force_split(monkeypatch, lambda n: n % 2 == 1, child_stops=3)
-        assert _converge_bits() == want
-        assert multiprocessing.active_children() == []
+        for child_takes, child_dies in ((lambda n: n % 2 == 1, 0), (None, 3)):
+            _force_split(monkeypatch, child_takes, child_dies)
+            assert _converge_bits() == want
+            assert multiprocessing.active_children() == []
 
     @staticmethod
     def _refuse(monkeypatch, capfd, degree):
@@ -154,49 +161,31 @@ class TestConvergeSplit:
 
     @needs_fork
     def test_an_error_in_run_all_stops_the_child(self, monkeypatch):
-        # The child waits, after its first degree, until the error has emptied
-        # the counter; had it not, the child would take all the others.
+        # The child waits, after its first degree, until the error has filled
+        # the array's NaNs; had it not, the child would take all the others.
         monkeypatch.setattr(exp, "_second_cpu", lambda: True)
-        ctx = multiprocessing.get_context("fork")
-        child_taken, countdown = ctx.Value("i", 0), exp._countdown
+        child_taken, undone = multiprocessing.get_context("fork").RawValue("i", 0), exp._undone
 
-        def counted(left):
-            for n in countdown(left):
+        def counted(degrees, errs):
+            for n in undone(degrees, errs):
                 child_taken.value += 1
                 yield n
                 deadline = time.monotonic() + 10.0
-                while child_taken.value == 1 and left.value > 0 and time.monotonic() < deadline:
+                while (child_taken.value == 1 and np.isnan(errs).any()
+                       and time.monotonic() < deadline):
                     time.sleep(0.01)
 
         def done(reports):
-            while child_taken.value == 0:
+            deadline = time.monotonic() + 60.0
+            while child_taken.value == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
             raise ValueError("refused in the parent")
 
-        monkeypatch.setattr(exp, "_countdown", counted)
+        monkeypatch.setattr(exp, "_undone", counted)
         with pytest.raises(ValueError, match="^refused in the parent$"):
             exp.run_all(0, done)
         assert child_taken.value == 1
         assert multiprocessing.active_children() == []
-
-    @needs_fork
-    def test_the_counter_hands_out_each_degree_once(self):
-        # More takers than CPUs: a lost update would hand a degree out twice.
-        ctx = multiprocessing.get_context("fork")
-        left, takers = ctx.Value("l", 20000), []
-        for _ in range(3):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=lambda send=send: send.send(list(exp._countdown(left))))
-            child.start()
-            send.close()
-            takers.append((child, recv))
-        taken = list(exp._countdown(left))
-        for child, recv in takers:
-            assert recv.poll(60)
-            taken += recv.recv()
-            child.join(60)
-            assert not child.is_alive()
-        assert sorted(taken) == list(range(1, 20001))
 
     @needs_fork
     def test_run_all_check_prints_the_same_with_and_without_the_child(self, monkeypatch,
