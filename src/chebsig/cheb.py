@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _EPS = 2.0 ** -52
+#: ``_chop_point``'s level, 2 eps^(2/3): no plateau starts above it.
+_CHOP_LEVEL = 2.0 * _EPS ** (2.0 / 3.0)
 
 #: Elements of the work buffer of a row-blocked kernel (256 KiB of float64,
 #: so a block stays in L2); a row longer than this gets a block of its own.
@@ -374,14 +376,13 @@ def interpolant_from_values(values, domain: Domain = UNIT_DOMAIN) -> ChebInterpo
     return ChebInterpolant(_values_to_coeffs(_finite(v, "values must be finite")), domain)
 
 
-def _chop_point(coeffs: np.ndarray, tol: float) -> int:
+def _chop_point(coeffs: np.ndarray) -> int:
     """Series length after discarding the negligible tail.
 
-    Envelope-plateau chopping rule of Aurentz & Trefethen (2017): walk the
-    non-increasing envelope of |coeffs| until the decay stalls (a rounding
-    plateau), then place the cut near the start of the plateau.  Returns
-    ``len(coeffs)`` when no plateau below tol^(2/3) exists, which callers
-    read as "not resolved".
+    Aurentz & Trefethen's (2017) envelope-plateau rule at tolerance eps = 2^-52:
+    walk the non-increasing envelope of |coeffs| until its decay stalls at a
+    rounding plateau, and cut near the plateau's start.  ``len(coeffs)``, read
+    as "not resolved", means that no plateau below eps^(2/3) exists.
     """
     n = coeffs.size
     if n < 17:
@@ -396,52 +397,44 @@ def _chop_point(coeffs: np.ndarray, tol: float) -> int:
     # with j, so that is a prefix.  Entry i of e1 is env[j - 1] for
     # j = i + 2, whose j2 is (5 i + 32) // 4.
     stop = (4 * n - 19) // 5
-    # The test is e2 / e1 > r with r = 3 (1 - ln e1 / ln tol), and e2 <= e1,
-    # so it needs r < 1.  Where e1 > 2 tol^(2/3), r > 1 + 3 ln 2 / |ln tol|
-    # (1.057 for tol = 2^-52), far past rounding: no j there can pass, and
-    # those j are a prefix of e1.  Only the rest is tested.
-    level = 2.0 * tol ** (2.0 / 3.0)
+    # The test is e2 / e1 > r with r = 3 (1 - ln e1 / ln eps), and e2 <= e1,
+    # so it needs r < 1.  Where e1 > _CHOP_LEVEL = 2 eps^(2/3),
+    # r > 1 + 3 ln 2 / |ln eps| = 1.057, far past rounding: no j there can
+    # pass, and those j are a prefix of e1.  Only the rest is tested.
     # The envelope does not increase, so its last tested entry,
     # env[stop - 1] = max|c[stop - 1:]| / top, is the least of e1.  When it
     # lies above that level, so does every e1: none is zero, none can pass,
     # and the walk ends with no plateau.  Decide that before building the
     # envelope; the quotient is the one env holds, so the decision is the
     # same bit for bit.  (At equality the walk runs and also returns n.)
-    if mag[stop - 1 :].max() / top > level:
+    if mag[stop - 1 :].max() / top > _CHOP_LEVEL:
         return n
     env = np.maximum.accumulate(mag[::-1])[::-1] / top
     e1 = env[1:stop]
     # e1 does not increase: its first live entries are > 0, its first start > level.
     live = e1.size - int(e1[::-1].searchsorted(0.0, "right"))
-    start = e1.size - int(e1[::-1].searchsorted(level, "right"))
+    start = e1.size - int(e1[::-1].searchsorted(_CHOP_LEVEL, "right"))
     # The walk stops at the first j whose ratio test passes, else at the first
-    # zero of the envelope.  So it is tested in windows from start that double
-    # from 2048 entries, about what a window's dozen numpy calls cost.  np.log
-    # and math.log (the one-j-at-a-time walk's) can differ in the last bit,
-    # which could flip a near-tie.  Over the 1.67 M entries tested in the 5802
-    # chops of six adaptive benchmark seeds, the two r differed by at most
+    # zero of the envelope: one pass tests every j from start to that zero.
+    # np.log and math.log (the one-j-at-a-time walk's) can differ in the last
+    # bit, which could flip a near-tie.  Over the 1.67 M entries tested in the
+    # 5802 chops of six adaptive benchmark seeds, the two r differed by at most
     # 6.7e-16, and no q lay within 2e-6 of its r.  So a decision further than
     # 1e-12 from its tie is the same with either log; inside that band r is
     # recomputed with math.log.
-    i, width = start, 2048
-    while i < live:
-        e = e1[i : min(i + width, live)]
-        q = env[np.arange(5 * i + 28, 5 * (i + e.size) + 28, 5) // 4] / e
-        d = q - 3.0 * (1.0 - np.log(e) / math.log(tol))
-        hit = next((k for k in np.flatnonzero(d >= -1e-12) if d[k] > 1e-12
-                    or q[k] > 3.0 * (1.0 - math.log(e[k]) / math.log(tol))), None)
-        if hit is not None:
-            i += int(hit)
-            break
-        i, width = i + e.size, 2 * width
+    e = e1[start:live]
+    q = env[np.arange(5 * start + 28, 5 * live + 28, 5) // 4] / e
+    d = q - 3.0 * (1.0 - np.log(e) / math.log(_EPS))
+    i = start + next((k for k in np.flatnonzero(d >= -1e-12) if d[k] > 1e-12
+                      or q[k] > 3.0 * (1.0 - math.log(e[k]) / math.log(_EPS))), e.size)
     if i == e1.size:  # no hit and no zero: no plateau
         return n
     j2 = (5 * i + 32) // 4
-    if env[j2 - 1] < tol ** (7.0 / 6.0):  # cut j2 to one past the last entry >= it
-        j2 = env.size + 1 - int(env[::-1].searchsorted(tol ** (7.0 / 6.0)))
-        env[j2 - 1] = tol ** (7.0 / 6.0)
+    if env[j2 - 1] < _EPS ** (7.0 / 6.0):  # cut j2 to one past the last entry >= it
+        j2 = env.size + 1 - int(env[::-1].searchsorted(_EPS ** (7.0 / 6.0)))
+        env[j2 - 1] = _EPS ** (7.0 / 6.0)
     cc = np.log10(env[:j2])
-    cc += _ramp((-1.0 / 3.0) * math.log10(tol), j2)
+    cc += _ramp((-1.0 / 3.0) * math.log10(_EPS), j2)
     return max(int(np.argmin(cc)), 1)
 
 
@@ -471,16 +464,16 @@ def _tail_unresolved(values: np.ndarray) -> bool:
     """True only where ``_chop_point`` finds no plateau in the coefficients
     of these values, decided from four of them without the transform.
 
-    Every coefficient is at most 2 max|v|, so one above 4 (2 tol^(2/3))
-    max|v| puts the chop's last tested envelope entry above its level
-    2 tol^(2/3).  The factor 2 leaves 1.5e-10 max|v| for rounding, which
-    stays below 1e-12 max|v| up to 4097 points.  Outside 2^-900 < max|v| <
+    Every coefficient is at most 2 max|v|, so one above 4 ``_CHOP_LEVEL``
+    max|v| puts the chop's last tested envelope entry above that level.
+    The factor 2 leaves 1.5e-10 max|v| for rounding, which stays below
+    1e-12 max|v| up to 4097 points.  Outside 2^-900 < max|v| <
     2^900 rounding is not relative, and False leaves the grid to the chop."""
     top = np.abs(values).max()
     if not 2.0 ** -900 < top < 2.0 ** 900:
         return False
     tail = (values @ _tail_rows(values.size - 1)).tolist()
-    return max(map(abs, tail)) > 8.0 * _EPS ** (2.0 / 3.0) * top
+    return max(map(abs, tail)) > 4.0 * _CHOP_LEVEL * top
 
 
 def interpolant_from_function(
@@ -529,7 +522,7 @@ def interpolant_from_function(
         if k <= 12 and _tail_unresolved(vals):
             continue
         coeffs = _values_to_coeffs(vals)
-        cut = _chop_point(coeffs, _EPS)
+        cut = _chop_point(coeffs)
         if cut < coeffs.size:
             return ChebInterpolant(coeffs[:cut], domain)
     raise UnresolvedFunctionError("function not resolved on the 65537-point grid",

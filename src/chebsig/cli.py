@@ -52,6 +52,9 @@ def _written(reports, args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.svg and args.out is None:
+        print("chebsig: --svg writes files only with --out DIR", file=sys.stderr)
+        return USAGE_ERROR
     seed = getattr(args, "seed", 0)
     run_all = args.command == "run-all"
     try:

@@ -116,7 +116,8 @@ def uneven_grid(count: int, span: float, seed: int, mode: str = "sorted") -> np.
     mode="sorted" draws count uniforms on [0, span] and sorts them.
     mode="modulated" multiplies an even grid elementwise by sorted uniform
     draws, which also yields an increasing grid but keeps the first point
-    pinned at 0.  Tied neighbours are nudged apart by 1e-12 * span.
+    pinned at 0.  Tied neighbours are nudged apart by 1e-12 * span;
+    ValueError where that nudge is too small to separate them.
     """
     count, seed = _count(count, "count", 2), _count(seed, "seed", 0)
     if not 0 < span < math.inf:
@@ -132,6 +133,8 @@ def uneven_grid(count: int, span: float, seed: int, mode: str = "sorted") -> np.
     for i in range(1, count):
         if t[i] <= t[i - 1]:
             t[i] = t[i - 1] + nudge
+    if np.any(t[1:] <= t[:-1]):
+        raise ValueError(f"span {span!r} is too small to separate count = {count} points")
     return t
 
 

@@ -49,7 +49,7 @@ def _rebuilt_grid_construction(f, domain):
     for k in range(3, 17):
         nodes = cheb_points_second_kind(2 ** k, domain)
         coeffs = interpolant_from_values(f(nodes.points), domain).coeffs
-        cut = _chop_point(coeffs, 2.0 ** -52)
+        cut = _chop_point(coeffs)
         if cut < coeffs.size:
             return coeffs[:cut]
     raise AssertionError("unresolved on the 65537-point grid")

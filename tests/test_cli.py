@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +105,15 @@ def test_svg_written(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("command", ["deviation", "run-all"])
+def test_svg_without_out_is_usage_error(command, capsys):
+    # Without --out there is nowhere to write the plots.
+    assert main([command, "--svg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "chebsig: --svg writes files only with --out DIR\n"
+    assert captured.out == ""
+
+
 def test_coeffs_all_runs_three(tmp_path):
     assert main(["coeffs", "--out", str(tmp_path)]) == 0
     for name in ("coeffs_atan", "coeffs_tanh_sum", "coeffs_stripe"):
@@ -130,27 +138,13 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     assert "chebsig: 1 check(s) failed" in err
 
 
-def _report_json_digest(path):
-    """sha256 of a report.json in canonical form: keys sorted, the wall-clock
-    ``elapsed_seconds`` scalar dropped, floats printed by ``json.dumps``."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["scalars"].pop("elapsed_seconds", None)
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 def test_run_all_matches_golden_digests(run_all_pass, monkeypatch):
     # The digests were recorded in another process, so a match also proves
-    # that same-seed reruns write the same bytes.
-    out = run_all_pass.out
-    assert run_all_pass.code == 0
+    # that same-seed reruns write the same bytes.  The scalars the --check
+    # assertions read live in report.json, not in CSV.  Run as a script,
+    # tests/golden_tree.py checks the other golden seeds.
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    import golden
+    import golden_tree
 
-    assert golden.csv_digests(out) == golden.load()[42]
-    # The scalars the --check assertions read live in report.json, not in CSV.
-    # Digests for the other golden seeds are checked in CI.
-    reports = Path(__file__).parent / "golden_report_sha256.json"
-    expected = json.loads(reports.read_text(encoding="utf-8"))["42"]
-    digests = {p.relative_to(out).as_posix(): _report_json_digest(p)
-               for p in out.rglob("report.json")}
-    assert digests == expected
+    assert run_all_pass.code == 0
+    assert golden_tree.differing_paths(run_all_pass.out, 42) == []

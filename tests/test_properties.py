@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chebsig import cheb
 from chebsig.cheb import (
+    _CHOP_LEVEL,
     ChebInterpolant,
     Domain,
     _chop_point,
@@ -315,11 +316,9 @@ def _scalar_chop_point(coeffs, tol):
 @settings(deadline=None, max_examples=300)
 @given(st.integers(min_value=1, max_value=5000),
        st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.sampled_from(["decay", "zero_tail", "plateau", "interpolant"]),
-       st.floats(min_value=-16.0, max_value=-6.0))
-def test_chop_point_matches_scalar_walk(n, seed, tail, log10_tol):
+       st.sampled_from(["decay", "zero_tail", "plateau", "interpolant"]))
+def test_chop_point_matches_scalar_walk(n, seed, tail):
     rng = np.random.default_rng(seed)
-    tol = 10.0 ** log10_tol
     if tail == "interpolant":
         # A Runge function's coefficients: geometric decay into a rounding
         # plateau, as adaptive construction sees them.
@@ -334,7 +333,26 @@ def test_chop_point_matches_scalar_walk(n, seed, tail, log10_tol):
         elif tail == "plateau":
             level = 10.0 ** rng.uniform(-17.0, -5.0)
             coeffs += level * rng.standard_normal(n)
-    assert _chop_point(coeffs, tol) == _scalar_chop_point(coeffs, tol)
+    assert _chop_point(coeffs) == _scalar_chop_point(coeffs, cheb._EPS)
+
+
+@pytest.mark.parametrize("n", [8193, 65537])
+@pytest.mark.parametrize("tail", ["plateau", "zero"])
+def test_chop_point_matches_scalar_walk_far_past_start(n, tail):
+    # c_0 = 1, a drop below the chop level by c_9, then a slow geometric
+    # decay to 1e-15 over 3/4 of the tested range, on which no ratio test
+    # passes.  The walk stops thousands of entries past its start: where the
+    # plateau of 5e-16 comes into the ratio's reach (the first hit), or at
+    # the envelope's first zero.  Either way the cut is where the decay ends.
+    end = 3 * ((4 * n - 19) // 5) // 4
+    coeffs = np.zeros(n)
+    coeffs[0] = 1.0
+    coeffs[1:9] = 0.01 ** np.arange(1, 9)
+    coeffs[9:end] = 7e-11 * (1e-15 / 7e-11) ** (np.arange(end - 9) / (end - 9))
+    if tail == "plateau":
+        coeffs[end:] = 5e-16
+    coeffs[1::2] *= -1.0
+    assert _chop_point(coeffs) == _scalar_chop_point(coeffs, cheb._EPS) == end
 
 
 def _near_tie_cases(tol, count):
@@ -376,7 +394,7 @@ def test_chop_point_rechecks_near_ties_with_math_log():
         coeffs[8:] = 0.25 * e1 * 0.8 ** np.arange(9)
         want = 1 if passes else 17
         assert _scalar_chop_point(coeffs, tol) == want
-        assert _chop_point(coeffs, tol) == want
+        assert _chop_point(coeffs) == want
 
 
 class _CountingMath:
@@ -393,27 +411,25 @@ class _CountingMath:
         return math.log(x)
 
 
-@pytest.mark.parametrize("n", [17, 100])
-@pytest.mark.parametrize("tol", [2.0 ** -52, 1e-10])
-def test_chop_point_early_rejection_boundary(monkeypatch, n, tol):
+@pytest.mark.parametrize("n", [17, 100, 4097, 65537])
+def test_chop_point_early_rejection_boundary(monkeypatch, n):
     # The last tested envelope entry, max|c[stop - 1:]| / max|c| with
-    # stop = (4 n - 19) // 5, set to the rejection level 2 tol^(2/3) and to
+    # stop = (4 n - 19) // 5, set to the rejection level 2 eps^(2/3) and to
     # its neighbours.  Only strictly above it may _chop_point return before
     # the walk; at the level the walk runs (and, as r > 1 there, also finds
     # no plateau).  The walk is _chop_point's only caller of math.log.
-    level = 2.0 * tol ** (2.0 / 3.0)
     stop = (4 * n - 19) // 5
     counter = _CountingMath()
     monkeypatch.setattr(cheb, "math", counter)
-    for last, walks in [(np.nextafter(level, 0.0), True), (level, True),
-                        (np.nextafter(level, 1.0), False)]:
+    for last, walks in [(np.nextafter(_CHOP_LEVEL, 0.0), True), (_CHOP_LEVEL, True),
+                        (np.nextafter(_CHOP_LEVEL, 1.0), False)]:
         coeffs = np.empty(n)
         coeffs[0] = -1.0
         coeffs[1:stop - 1] = 0.5 ** np.arange(1, stop - 1) + last
         coeffs[stop - 1] = last
         coeffs[stop:] = 0.25 * last * 0.9 ** np.arange(n - stop)
         counter.logs = 0
-        assert _chop_point(coeffs, tol) == _scalar_chop_point(coeffs, tol)
+        assert _chop_point(coeffs) == _scalar_chop_point(coeffs, cheb._EPS)
         assert (counter.logs > 0) is walks
 
 
@@ -444,7 +460,7 @@ def test_chop_point_matches_scalar_walk_on_an_adaptive_round(monkeypatch):
     seen = [to_coeffs(v) for v in grids]
     assert len(seen) > 900
     mismatched = [i for i, c in enumerate(seen)
-                  if _chop_point(c, cheb._EPS) != _scalar_chop_point(c, cheb._EPS)]
+                  if _chop_point(c) != _scalar_chop_point(c, cheb._EPS)]
     assert mismatched == []
 
 
@@ -455,9 +471,6 @@ def test_ramp_is_linspace_bit_for_bit():
         rise = (-1.0 / 3.0) * math.log10(tol)
         for count in [*range(2, 3000), 13107, 52430, 65537]:
             assert cheb._ramp(rise, count).tobytes() == np.linspace(0.0, rise, count).tobytes()
-
-
-_CHOP_LEVEL = 2.0 * cheb._EPS ** (2.0 / 3.0)
 
 
 def _tail_series(k, decay, tail, parity, seed):
@@ -506,7 +519,7 @@ def test_tail_certificate_rejects_only_grids_the_chop_rejects(
     v = inverse_cosine_transform(_tail_series(k, decay, tail, parity, seed)) * 2.0 ** log2_scale
     rejected = cheb._tail_unresolved(v)
     if rejected:
-        assert _chop_point(cheb._values_to_coeffs(v), cheb._EPS) == v.size
+        assert _chop_point(cheb._values_to_coeffs(v)) == v.size
     if decay == "single":
         # Its lone coefficient passes 4 levels of max|v| = 1 + tail * level
         # where tail > 4 (1 + 3e-10); rounding moves that by less than 1e-6.

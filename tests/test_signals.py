@@ -181,6 +181,14 @@ class TestUnevenGrid:
         with pytest.raises(ValueError):
             uneven_grid(10, 1.0, 0, mode="shuffled")
 
+    @pytest.mark.parametrize("span, mode", [(5e-324, "sorted"), (5e-324, "modulated"),
+                                            (1e-322, "modulated")])
+    def test_rejects_span_too_small_to_separate_the_points(self, span, mode):
+        # The 1e-12 * span nudge underflows to 0, so tied points stay tied:
+        # at 1e-322 the modulated grid repeats 0.
+        with pytest.raises(ValueError, match=r"span .* too small to separate count = 6 points"):
+            uneven_grid(6, span, 0, mode)
+
     def test_rejects_bad_span(self):
         for span in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="span must be positive and finite"):
