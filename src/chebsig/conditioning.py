@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .cheb import Domain, _count, _finite, cheb_points_second_kind
+from .cheb import _BLOCK_ELEMENTS, Domain, _count, _finite, cheb_points_second_kind
 
 __all__ = [
     "Basis",
@@ -50,19 +50,37 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
     return _clenshaw_curtis_weights(_count(n, "n", 0)).copy()
 
 
-@functools.lru_cache(maxsize=8)
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
-    """The weights of ``clenshaw_curtis_weights``, read-only: the (n+1) x
-    n/2 cosine matrix is built in place (theta 2k is exactly 2 theta k)
-    once per n, and run-all asks for two sizes."""
+    """The weights of ``clenshaw_curtis_weights``, read-only; cached for
+    n <= 2^16, so no larger n is held once its caller drops it."""
+    return _cached_weights(n) if n <= 2 ** 16 else _cached_weights.__wrapped__(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_weights(n: int) -> np.ndarray:
+    """The rows of cos(2 outer(theta, k)) @ moments, a block at a time in
+    one reused buffer (theta 2k is exactly 2 theta k): memory O(block), not
+    O(n^2).  BLAS dgemv sums rows four at a time in one order and a call's
+    last one to three rows in others (SkylakeX); blocks start at multiples
+    of 64 rows, so each row gets the bits of one call over the whole matrix
+    on one thread.  Below n of about 14000 a block is also too small for
+    OpenBLAS to split over threads, a split at odd rows that moved the bits
+    of 273 sizes up to 1399.  A one-row product goes to ddot, which sums in
+    another order again, so a lone last row joins the block before it."""
     if n == 0:
         w = np.array([2.0])
     else:
         theta = np.arange(n + 1) * (np.pi / n)
         ks = np.arange(1, n // 2 + 1)
         b = np.where(ks == n / 2, 1.0, 2.0)
-        m = np.outer(theta, 2.0 * ks)
-        correction = np.cos(m, out=m) @ (b / (4.0 * ks ** 2 - 1.0))
+        ks2, moments = 2.0 * ks, b / (4.0 * ks ** 2 - 1.0)
+        step = max(_BLOCK_ELEMENTS // (64 * max(ks.size, 1)), 1) * 64
+        buf = np.empty((min(step + 1, n + 1), ks.size))
+        correction = np.empty(n + 1)
+        for start in range(0, n, step):
+            rows = slice(start, start + step if start + step < n else n + 1)
+            block = np.multiply(theta[rows, None], ks2, out=buf[: rows.stop - start])
+            correction[rows] = np.cos(block, out=block) @ moments
         w = (1.0 - correction) * (2.0 / n)
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -84,18 +102,23 @@ def build_basis_matrix(basis: Basis, domain: Domain, max_degree: int) -> np.ndar
     x = nodes.points
     weights = _clenshaw_curtis_weights(grid_size - 1) * (domain.width / 2.0)
     sqrt_w = np.sqrt(weights)
+    # Column-major, so each column is written in one contiguous pass.
+    m = np.empty((grid_size, max_degree + 1), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
         if basis is Basis.CHEBYSHEV:
             # T_{k+1} = 2 s T_k - T_{k-1}, one new column per degree.
             s = domain.to_unit(x)
-            cols = [np.ones_like(s), s][: max_degree + 1]
-            for _ in range(max_degree - 1):
-                cols.append(2.0 * s * cols[-1] - cols[-2])
+            m[:, 0] = 1.0
+            if max_degree:
+                m[:, 1] = s
+            for k in range(2, max_degree + 1):
+                m[:, k] = 2.0 * s * m[:, k - 1] - m[:, k - 2]
         else:
-            cols = [x ** k for k in range(max_degree + 1)]
-        return _finite(np.column_stack(cols) * sqrt_w[:, None],
-                       f"the {basis.value} basis of degree {max_degree} on "
-                       f"[{domain.a}, {domain.b}] overflows")
+            for k in range(max_degree + 1):
+                m[:, k] = x ** k
+        m *= sqrt_w[:, None]
+    return _finite(m, f"the {basis.value} basis of degree {max_degree} on "
+                      f"[{domain.a}, {domain.b}] overflows")
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import os
 import subprocess
 import sys
@@ -22,6 +24,17 @@ from chebsig.conditioning import (
 UNIT = Domain(-1.0, 1.0)
 
 
+def textbook_weights(n):
+    """Clenshaw-Curtis weights from the whole cosine matrix in one product."""
+    theta = np.arange(n + 1) * (np.pi / n)
+    ks = np.arange(1, n // 2 + 1)
+    b = np.where(ks == n / 2, 1.0, 2.0)
+    w = (1.0 - np.cos(2.0 * np.outer(theta, ks)) @ (b / (4.0 * ks ** 2 - 1.0))) * (2.0 / n)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 class TestWeights:
     def test_three_point_rule(self):
         assert np.allclose(clenshaw_curtis_weights(2), [1 / 3, 4 / 3, 1 / 3])
@@ -35,57 +48,76 @@ class TestWeights:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 1023, 2047])
     def test_cached_weights_keep_the_computed_bits(self, n):
-        uncached = conditioning._clenshaw_curtis_weights.__wrapped__
+        uncached = conditioning._cached_weights.__wrapped__
         assert np.array_equal(clenshaw_curtis_weights(n).view(np.uint64),
                               uncached(n).view(np.uint64))
 
     @pytest.mark.parametrize("n", [*range(1, 65), 1023, 2047])
     def test_weights_are_bit_identical_to_textbook_form(self, n):
-        # The cosine is taken in place on outer(theta, 2k); theta * 2k is
-        # exactly 2 * (theta * k), so the bits are the textbook matrix's.
-        theta = np.arange(n + 1) * (np.pi / n)
-        ks = np.arange(1, n // 2 + 1)
-        b = np.where(ks == n / 2, 1.0, 2.0)
-        w = (1.0 - np.cos(2.0 * np.outer(theta, ks)) @ (b / (4.0 * ks ** 2 - 1.0))) * (2.0 / n)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        got = conditioning._clenshaw_curtis_weights.__wrapped__(n)
-        assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
+        # The rows are taken a block at a time and the cosine in place on
+        # outer(theta, 2k); theta * 2k is exactly 2 * (theta * k), so the
+        # bits are the textbook matrix's.
+        got = conditioning._cached_weights.__wrapped__(n)
+        assert np.array_equal(got.view(np.uint64), textbook_weights(n).view(np.uint64))
 
     def test_weights_hold_one_cosine_matrix(self):
-        # The (n+1) x n/2 matrix takes 16 MiB at n = 2047; a product and
-        # its cosine held together took 32 MiB.
-        tracemalloc.start()
-        try:
-            conditioning._clenshaw_curtis_weights.__wrapped__(2047)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2 ** 20
+        # One block of the cosine matrix, never the whole: the (n+1) x n/2
+        # matrix took 16 MiB at n = 2047 and 256 MiB at n = 8191.
+        for n, bound in ((2047, 1), (8191, 4)):
+            tracemalloc.start()
+            try:
+                conditioning._cached_weights.__wrapped__(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2 ** 20, n
 
     def test_run_all_weights_do_not_depend_on_the_blas_threads(self):
-        # dgemv splits its rows by thread, and the bits of some sizes move
-        # with the split (n = 963, 1025, 3001); run-all's two sizes do not.
-        code = ("import hashlib, sys; from chebsig.conditioning import clenshaw_curtis_weights as w; "
-                "sys.stdout.write(hashlib.sha256(w(1023).tobytes() + w(2047).tobytes()).hexdigest())")
+        # dgemv splits a call's rows over threads, and in one call over the
+        # whole matrix the bits of n = 963, 1025 and 3001 moved with the
+        # split. Blocks start at multiples of 64 rows; the other sizes sit
+        # at block edges. Each must equal the textbook form on one thread.
+        # OpenBLAS runs at most one thread per CPU, so on two CPUs 3 and 4
+        # threads run as 2.
+        sizes = [963, 1025, 3001, 63, 64, 127, 128, 1023, 1024, 2047, 2048]
+        lines = "; ".join(f"print(f({n}).tobytes().hex())" for n in sizes)
+        library = f"from chebsig.conditioning import clenshaw_curtis_weights as f; {lines}"
+        textbook = f"import numpy as np\n{inspect.getsource(textbook_weights)}f = textbook_weights; {lines}"
         src = str(Path(conditioning.__file__).parents[1])
-        digests = [
-            subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
-                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
-            for threads in ("1", "4")
-        ]
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+        runs = {
+            name: subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                                   env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+            for name, code, threads in [("textbook", textbook, "1"),
+                                        *((threads, library, threads) for threads in "1234")]
+        }
+        out = {name: proc.communicate(timeout=120)[0].split() for name, proc in runs.items()}
+        assert all(proc.returncode == 0 for proc in runs.values())
+        want = out.pop("textbook")
+        assert len(want) == len(sizes)
+        for threads, got in out.items():
+            assert [n for n, a, b in zip(sizes, got, want) if a != b] == [], threads
 
     def test_callers_get_their_own_copy_from_a_bounded_cache(self):
         first = clenshaw_curtis_weights(8)
         want = first.copy()
         first[:] = -1.0
         assert np.array_equal(clenshaw_curtis_weights(8), want)
-        cache = conditioning._clenshaw_curtis_weights
+        cache = conditioning._cached_weights
         for n in range(100, 120):
             clenshaw_curtis_weights(n)
         info = cache.cache_info()
         assert info.currsize <= info.maxsize
+
+    def test_only_sizes_up_to_2_16_are_cached(self, monkeypatch):
+        # An entry takes at most 0.5 MiB (n = 2^16), so the 8 sizes hold at
+        # most 4 MiB; a larger n is computed afresh and not held.
+        cache = functools.lru_cache(maxsize=8)(float)
+        monkeypatch.setattr(conditioning, "_cached_weights", cache)
+        for n in (2 ** 16, 2 ** 16 + 1, 10 ** 7):
+            conditioning._clenshaw_curtis_weights(n)
+        assert cache.cache_info().currsize == 1
+        assert cache.cache_info().misses == 1
 
 
 class TestBuildBasisMatrix:
@@ -139,6 +171,36 @@ class TestBuildBasisMatrix:
                 got = build_basis_matrix(Basis.CHEBYSHEV, domain, max_degree)
                 assert np.array_equal(got.view(np.uint64),
                                       (want * sqrt_w[:, None]).view(np.uint64))
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_matrix_keeps_the_bits_of_its_stacked_columns(self, basis):
+        # The matrix as a list of columns, stacked, then a scaled copy.
+        for domain in (UNIT, Domain(0.0, 1.0), Domain(-3.0, 7.5)):
+            x = cheb_points_second_kind(1023, domain).points
+            s = domain.to_unit(x)
+            sqrt_w = np.sqrt(clenshaw_curtis_weights(1023) * (domain.width / 2.0))
+            for max_degree in (0, 1, 2, 10, 255):
+                if basis is Basis.CHEBYSHEV:
+                    cols = [np.ones_like(s), s][: max_degree + 1]
+                    for _ in range(max_degree - 1):
+                        cols.append(2.0 * s * cols[-1] - cols[-2])
+                else:
+                    cols = [x ** k for k in range(max_degree + 1)]
+                want = np.column_stack(cols) * sqrt_w[:, None]
+                got = build_basis_matrix(basis, domain, max_degree)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (domain, max_degree)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_fills_one_matrix_in_place(self, basis):
+        # 4004 x 1001 floats, 30.6 MiB; its columns, their stack and the
+        # scaled copy held together peaked at 92 MiB.
+        tracemalloc.start()
+        try:
+            m = build_basis_matrix(basis, UNIT, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * m.nbytes + clenshaw_curtis_weights(4003).nbytes
 
 
 class TestSingularValues:
@@ -215,7 +277,7 @@ class TestConditioningSweep:
     def test_cached_weights_keep_the_sweep_bits(self, domain, monkeypatch):
         cached = {basis: conditioning_sweep(basis, domain, 10) for basis in Basis}
         monkeypatch.setattr(conditioning, "_clenshaw_curtis_weights",
-                            conditioning._clenshaw_curtis_weights.__wrapped__)
+                            conditioning._cached_weights.__wrapped__)
         for basis in Basis:
             uncached = conditioning_sweep(basis, domain, 10)
             assert np.array_equal(cached[basis].view(np.uint64), uncached.view(np.uint64))
